@@ -9,7 +9,7 @@ import pytest
 
 from repro.commoncrawl.templates import INJECTORS, build_page
 from repro.html import parse
-from repro.html.tokenizer import Tokenizer
+from repro.html.bytes_tokenizer import BytesTokenizer
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +56,8 @@ def script_escape_page() -> str:
 
 
 def _count_tokens(text: str) -> int:
-    return sum(1 for _token in Tokenizer(text))
+    """Drain the bytes scanner every parse runs over the page's UTF-8."""
+    return sum(1 for _token in BytesTokenizer(text.encode("utf-8")))
 
 
 def test_tokenizer_clean(benchmark, clean_page):

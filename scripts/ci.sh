@@ -36,7 +36,7 @@ echo "==> fuzz corpus replay"
 python -c 'import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))' \
     fuzz --replay tests/fuzz_corpus
 
-echo "==> tokenizer equivalence (bytes / chunked str / reference three-way)"
+echo "==> tokenizer equivalence (bytes scanner vs per-character reference)"
 python -m pytest -x -q tests/html/test_tokenizer_equivalence.py \
     tests/html/test_bytes_tokenizer.py
 
@@ -91,5 +91,12 @@ assert s['loadgen']['server_metrics']['connections'].get('total', 0) > 0, \
     'no connection counters scraped'" \
     "$LOADGEN_SMOKE_OUT"
 rm -f "$LOADGEN_SMOKE_OUT"
+
+echo "==> end-to-end benchmark smoke (unit tests + all four workloads)"
+# --smoke runs study-full, study-parallel, study-incremental and serve-mix
+# once each at reduced size; its correctness oracle checks every
+# workload's result digest and serve bodies, and a mismatch exits nonzero
+python -m pytest benchmarks/e2e/tests -q
+python3 benchmarks/e2e/run.py --all --smoke
 
 echo "==> ci OK"

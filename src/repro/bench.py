@@ -19,8 +19,8 @@ should produce comparable files; label provenance with ``--label``.
 The fixture pages mirror ``benchmarks/bench_parser.py``: a clean template
 page, a violation-injected dirty page (the states the paper's violations
 exercise), a PLAINTEXT-heavy page and a script-data-escape-heavy page
-(the content models the chunked fast path targets), and a large many-
-section document.  Only :mod:`repro` absolute imports here, so the module
+(the content models the bytes scanner chunks), and a large many-section
+document.  Only :mod:`repro` absolute imports here, so the module
 also runs against an older checkout for before/after numbers (copy the
 file outside ``src/`` first — running it by path would put ``src/repro``
 on ``sys.path`` and shadow the stdlib ``html`` package)::
@@ -43,7 +43,6 @@ from repro.commoncrawl.templates import INJECTORS, build_page
 from repro.core import Checker
 from repro.html import parse
 from repro.html.bytes_tokenizer import BytesTokenizer
-from repro.html.tokenizer import Tokenizer
 
 SCHEMA = "repro-bench/1"
 
@@ -107,16 +106,11 @@ def large_page() -> str:
     )
 
 
-#: case name -> (kind, fixture); tokenizer cases measure pure scanning,
-#: tokenizer_bytes cases the decode-free bytes-domain scan over the same
-#: fixture's UTF-8 encoding (what the crawl pipeline actually runs: raw
-#: payload in, lazy text out), parse cases the full tree-construction
-#: pipeline
+#: case name -> (kind, fixture); tokenizer_bytes cases measure the
+#: decode-free scan over the fixture's UTF-8 encoding (what every parse
+#: runs: raw payload in, lazy text out), parse cases a str caller's full
+#: ``parse(text)``: encode, scan and tree construction
 CASES: dict[str, tuple[str, Callable[[], str]]] = {
-    "tokenizer_clean": ("tokenize", clean_page),
-    "tokenizer_dirty": ("tokenize", dirty_page),
-    "tokenizer_plaintext": ("tokenize", plaintext_page),
-    "tokenizer_script_escape": ("tokenize", script_escape_page),
     "tokenizer_bytes_clean": ("tokenize_bytes", clean_page),
     "tokenizer_bytes_dirty": ("tokenize_bytes", dirty_page),
     "tokenizer_bytes_large": ("tokenize_bytes", large_page),
@@ -142,10 +136,6 @@ def best_seconds(func: Callable[[], object], *, repeat: int, number: int) -> flo
         if elapsed < best:
             best = elapsed
     return best
-
-
-def _token_count(text: str) -> int:
-    return sum(1 for _token in Tokenizer(text))
 
 
 def _bytes_token_count(data: bytes) -> int:
@@ -393,13 +383,7 @@ def run_benchmarks(config: BenchConfig) -> dict:
     for name, (kind, fixture) in CASES.items():
         text = fixture()
         decoded_ratio = None
-        if kind == "tokenize":
-            tokens = _token_count(text)
-            seconds = best_seconds(
-                lambda t=text: _token_count(t),
-                repeat=config.repeat, number=config.number,
-            )
-        elif kind == "tokenize_bytes":
+        if kind == "tokenize_bytes":
             data = text.encode("utf-8")
             tokens = _bytes_token_count(data)
             seconds = best_seconds(
@@ -417,17 +401,17 @@ def run_benchmarks(config: BenchConfig) -> dict:
                 if probe.input_bytes else 0.0
             )
         else:
-            tokens = _token_count(text)
+            tokens = _bytes_token_count(text.encode("utf-8"))
             seconds = best_seconds(
                 lambda t=text: parse(t),
                 repeat=config.repeat, number=config.number,
             )
-            # stage attribution for perf work: a pure tokenizer drain over
-            # the same fixture bounds the scan cost from below, so the
-            # difference is what tree construction (plus token plumbing)
-            # adds on top
+            # stage attribution for perf work: draining the bytes scanner
+            # over the encoded fixture (the scan ``parse`` runs) bounds the
+            # scan cost from below, so the difference is what tree
+            # construction (plus token plumbing) adds on top
             tokenize_seconds = best_seconds(
-                lambda t=text: _token_count(t),
+                lambda t=text: _bytes_token_count(t.encode("utf-8")),
                 repeat=config.repeat, number=config.number,
             )
             tree_build_seconds = max(0.0, seconds - tokenize_seconds)

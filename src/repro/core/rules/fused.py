@@ -20,8 +20,8 @@ and implements streaming ``fused_*`` handlers; the ``footprint``
 staticcheck pass proves the declaration against the AST of the rule's
 ``check`` body, so a rule edit can never silently fall out of the fused
 walk.  Equivalence with the retained per-rule reference implementation is
-machine-checked the same way the chunked tokenizer is pinned to
-``reference_tokenizer.py``: the ``fused_parity`` fuzz oracle and the
+machine-checked the same way the bytes tokenizer is pinned to the
+per-character ``Tokenizer`` base: the ``fused_parity`` fuzz oracle and the
 corpus/template replay suite assert bit-identical findings.
 
 Ordering contract: findings are accumulated into one bucket per rule and

@@ -33,7 +33,6 @@ from ..html.dom import Element, Text
 from ..html.dump import dump_tree
 from ..html.serializer import RAW_TEXT_ELEMENTS
 from ..html.treebuilder import SPECIAL_ELEMENTS
-from ..html.reference_tokenizer import reference_tokenize
 from ..html.tokenizer import Tokenizer
 from ..html.tokens import EOF
 from ..warc import WARCFormatError, WARCRecord, WARCWriter, iter_records, surt
@@ -90,13 +89,13 @@ TOKEN_BUDGET_PER_CHAR = 16
 
 
 def oracle_tokenize(data: bytes) -> None:
-    """The tokenizer never raises and never loops (step budget), and
-    emits exactly one EOF token, last."""
+    """The bytes tokenizer never raises on UTF-8 input and never loops
+    (step budget), and emits exactly one EOF token, last."""
     text = _decode(data)
     budget = TOKEN_BUDGET_BASE + TOKEN_BUDGET_PER_CHAR * len(text)
     steps = 0
     last = None
-    for token in Tokenizer(text):
+    for token in BytesTokenizer(data):
         steps += 1
         if steps > budget:
             raise OracleFailure(
@@ -110,63 +109,23 @@ def oracle_tokenize(data: bytes) -> None:
         raise OracleFailure("missing-eof", repr(text[:80]))
 
 
-def oracle_fastpath(data: bytes) -> None:
-    """The chunked fast-path scanner and the per-character reference
-    scanner produce the identical token stream and the identical
-    spec-named parse-error sequence.
-
-    The parse errors are the study's violation signal (FB1/FB2/DM3 and
-    parts of DE3 are detected from them), so this oracle is what licenses
-    the tokenizer's bulk-scanning optimisations: any divergence — an
-    extra token, a reordered error, a shifted offset — is a measurement
-    bug, not just a perf bug.
-    """
-    text = _decode(data)
-    fast = Tokenizer(text)
-    fast_tokens = list(fast)
-    ref_tokens, ref_errors = reference_tokenize(text)
-    if fast_tokens != ref_tokens:
-        for index, (left, right) in enumerate(zip(fast_tokens, ref_tokens)):
-            if left != right:
-                raise OracleFailure(
-                    "fastpath-token-divergence",
-                    f"token {index}: fast {left!r} != reference {right!r} "
-                    f"in {text[:80]!r}",
-                )
-        raise OracleFailure(
-            "fastpath-token-divergence",
-            f"{len(fast_tokens)} fast vs {len(ref_tokens)} reference tokens "
-            f"in {text[:80]!r}",
-        )
-    if fast.errors != ref_errors:
-        for index, (left, right) in enumerate(zip(fast.errors, ref_errors)):
-            if left != right:
-                raise OracleFailure(
-                    "fastpath-error-divergence",
-                    f"error {index}: fast {left!r} != reference {right!r} "
-                    f"in {text[:80]!r}",
-                )
-        raise OracleFailure(
-            "fastpath-error-divergence",
-            f"{len(fast.errors)} fast vs {len(ref_errors)} reference errors "
-            f"in {text[:80]!r}",
-        )
-
-
 def oracle_bytes_parity(data: bytes) -> None:
     """The decode-free bytes tokenizer is observationally identical to
-    decode + preprocess + str tokenizer.
+    decode + preprocess + the per-character reference tokenizer.
 
     Two contracts, both checked on every input (this oracle never skips —
     the bytes domain is exactly where non-UTF-8 inputs live):
 
     * **UTF-8 input** — :class:`BytesTokenizer` over the raw bytes must
       emit the same tokens (including lazily materialized character data
-      and attributes) and the same spec-named error sequence as the str
-      :class:`Tokenizer` over ``preprocess(decode_bytes(data)).text``.
-      Offsets are compared too: the bytes path keeps positions in
-      *decoded code points*, so a drift means every downstream violation
-      offset is wrong.
+      and attributes) and the same spec-named error sequence as the
+      reference :class:`Tokenizer` over ``preprocess(decode_bytes(data)).text``.
+      The parse errors are the study's violation signal (FB1/FB2/DM3 and
+      parts of DE3 are detected from them), so this is what licenses the
+      bytes scanner's bulk scanning: an extra token, a reordered error or
+      a shifted offset is a measurement bug, not just a perf bug.  The
+      bytes path keeps positions in *decoded code points*, so an offset
+      drift means every downstream violation offset is wrong.
     * **non-UTF-8 input** — draining the bytes tokenizer must raise
       :class:`UnicodeDecodeError`; anything else means the section 4.1
       encoding filter silently admitted an undecodable page.
@@ -191,12 +150,12 @@ def oracle_bytes_parity(data: bytes) -> None:
             if left != right:
                 raise OracleFailure(
                     "bytes-token-divergence",
-                    f"token {index}: bytes {left!r} != str {right!r} "
+                    f"token {index}: bytes {left!r} != reference {right!r} "
                     f"in {data[:80]!r}",
                 )
         raise OracleFailure(
             "bytes-token-divergence",
-            f"{len(lazy_tokens)} bytes vs {len(ref_tokens)} str tokens "
+            f"{len(lazy_tokens)} bytes vs {len(ref_tokens)} reference tokens "
             f"in {data[:80]!r}",
         )
     if lazy.errors != reference.errors:
@@ -206,12 +165,12 @@ def oracle_bytes_parity(data: bytes) -> None:
             if left != right:
                 raise OracleFailure(
                     "bytes-error-divergence",
-                    f"error {index}: bytes {left!r} != str {right!r} "
+                    f"error {index}: bytes {left!r} != reference {right!r} "
                     f"in {data[:80]!r}",
                 )
         raise OracleFailure(
             "bytes-error-divergence",
-            f"{len(lazy.errors)} bytes vs {len(reference.errors)} str "
+            f"{len(lazy.errors)} bytes vs {len(reference.errors)} reference "
             f"errors in {data[:80]!r}",
         )
     if lazy.decoded_bytes > lazy.input_bytes:
@@ -496,7 +455,7 @@ def oracle_service_parity(data: bytes) -> None:
     :meth:`Checker.check_html` call.  Any divergence — a dropped finding,
     a shifted offset, a cache entry served for the wrong body — means the
     service is *measuring differently than the study*, the exact bug
-    class the fastpath oracle guards against one layer down.
+    class the bytes_parity oracle guards against one layer down.
 
     The same input is then pushed through ``POST /check-batch`` as a
     ``body_b64`` line, and the framed result must contain the single
@@ -600,7 +559,7 @@ def oracle_fused_parity(data: bytes) -> None:
     not just the same multiset: downstream reports slice by offset and
     evidence, so ordering or field drift is as much a bug as a missing
     finding.  This is the same retained-reference pattern that pins the
-    chunked tokenizer to ``reference_tokenizer.py``.
+    bytes tokenizer to the per-character ``Tokenizer`` base.
     """
     text = _decode(data)
     result = parse(text)
@@ -871,19 +830,14 @@ ORACLES: dict[str, Oracle] = {
     for oracle in (
         Oracle(
             "tokenize",
-            "tokenizer never raises, never loops (step budget), single EOF",
+            "bytes tokenizer never raises, never loops (step budget), "
+            "single EOF",
             oracle_tokenize,
         ),
         Oracle(
-            "fastpath",
-            "chunked fast-path and per-char reference scanner emit identical "
-            "tokens and parse errors",
-            oracle_fastpath,
-        ),
-        Oracle(
             "bytes_parity",
-            "decode-free bytes tokenizer matches decode+preprocess+str "
-            "tokenizer; non-UTF-8 input raises",
+            "decode-free bytes tokenizer matches decode+preprocess+"
+            "per-char reference tokenizer; non-UTF-8 input raises",
             oracle_bytes_parity,
         ),
         Oracle(

@@ -1,16 +1,18 @@
-"""Decode-free bytes-domain tokenizer (the PR-8 hot path).
+"""Decode-free bytes-domain tokenizer: the one chunked scanner.
 
 :class:`BytesTokenizer` runs the WHATWG state machine of
 :class:`repro.html.tokenizer.Tokenizer` directly over raw UTF-8 bytes,
-replacing the old ``bytes → decode_bytes → preprocess (two full-string
-copies) → str Tokenizer`` pipeline with a single scan:
+replacing the ``bytes → decode_bytes → preprocess (two full-string
+copies) → str Tokenizer`` pipeline with a single scan.  Every parse runs
+it — str callers of :func:`repro.html.parse` encode to UTF-8 first — while
+the per-character base class stays the reference it is diffed against:
 
-* every chunked state's run pattern is recompiled **in bytes** from the same
-  ``CHUNK_BREAK_SETS`` source of truth (:func:`_bytes_scanner` mirrors
-  ``tokenizer._scanner``; the staticcheck ``state-machine`` pass verifies the
-  derivation).  All break characters are ASCII, and UTF-8 continuation bytes
-  are ≥ 0x80, so a byte-domain ``[^breaks]+`` scan can never split a
-  multi-byte character — the byte runs are exactly the char runs;
+* every chunked state's run pattern is compiled **in bytes** from the
+  ``CHUNK_BREAK_SETS`` source of truth (:func:`_bytes_scanner`; the
+  staticcheck ``state-machine`` pass verifies the derivation).  All break
+  characters are ASCII, and UTF-8 continuation bytes are ≥ 0x80, so a
+  byte-domain ``[^breaks]+`` scan can never split a multi-byte character —
+  the byte runs are exactly the char runs;
 * input normalization is folded into the scan: a UTF-8 BOM becomes a start
   offset (no slice copy), CRLF / lone CR become ``\\n`` with at most one
   byte-level ``replace`` per form (a no-op returning the same object when
@@ -29,9 +31,9 @@ The per-position machinery mirrors the base class through a tiny accounting
 layer: ``pos`` (a property) reports *character* offsets — ``_bpos - base -
 _extra`` where ``_extra`` counts UTF-8 continuation bytes consumed so far —
 so every inherited slow-path state, error offset and token offset stays in
-the str-domain coordinate system and the three scanners (bytes, chunked str,
-per-char reference) remain bit-comparable.  The inherited ``self.pos ± k``
-arithmetic is byte==char safe: every such site crosses ASCII-only input
+the str-domain coordinate system and the bytes scanner stays bit-comparable
+with the per-character reference.  The inherited ``self.pos ± k`` arithmetic
+is byte==char safe: every such site crosses ASCII-only input
 ("--", "doctype", "public", "system", "[CDATA[", "]>", entity runs); real
 characters are only re-consumed via :meth:`_reconsume`, which knows the last
 consumed width.
@@ -42,8 +44,8 @@ well-formed named reference) with ``lastindex`` dispatch; the tag
 alternatives exclude bytes ≥ 0x80, so non-ASCII tag/attribute content falls
 back to the inherited per-state machine, which the accounting layer keeps
 correct.  Anything error-shaped fails the master match and takes the slow
-path, exactly like the str fast path — parse-error semantics (the study's
-violation signal) stay defined in one place.
+path — parse-error semantics (the study's violation signal) stay defined in
+one place.
 """
 from __future__ import annotations
 
@@ -64,16 +66,20 @@ from .tokens import (
     StartTag,
     Token,
 )
-from .tokenizer import (
-    _MODE_SWITCH_TAGS,
-    _REPLACEMENT,
-    _TO_ASCII_LOWER,
-    CHUNK_BREAK_SETS,
-    Tokenizer,
-)
+from .tokenizer import _REPLACEMENT, _TO_ASCII_LOWER, CHUNK_BREAK_SETS, Tokenizer
 
 _ASCII_CHR = tuple(map(chr, range(128)))
 _NON_ASCII = re.compile(rb"[\x80-\xff]")
+
+#: Start-tag names after which the tree builder may call ``switch_to`` to
+#: change the content model (RCDATA/RAWTEXT/script data/PLAINTEXT).  The
+#: data-state batch loop returns to the pull loop after emitting one of
+#: these so the builder's switch happens before the next byte is scanned;
+#: every other tag is safe to tokenize straight through.
+_MODE_SWITCH_TAGS = frozenset({
+    "title", "textarea", "style", "xmp", "iframe", "noembed",
+    "noframes", "noscript", "script", "plaintext",
+})
 
 # ------------------------------------------------------- bytes run patterns
 
@@ -81,11 +87,10 @@ _NON_ASCII = re.compile(rb"[\x80-\xff]")
 def _bytes_scanner(state: str) -> re.Pattern[bytes]:
     """Compile ``state``'s longest-run pattern from its declared break set.
 
-    The bytes twin of ``tokenizer._scanner``: same ``CHUNK_BREAK_SETS``
-    entry, encoded to ASCII bytes.  Break sets are ASCII by construction
-    (the staticcheck pass enforces it), so the complement class matches
-    UTF-8 continuation bytes as part of the run — multi-byte characters are
-    never split.
+    The ``CHUNK_BREAK_SETS`` entry, encoded to ASCII bytes.  Break sets
+    are ASCII by construction (the staticcheck pass enforces it), so the
+    complement class matches UTF-8 continuation bytes as part of the run —
+    multi-byte characters are never split.
     """
     return re.compile(b"[^" + re.escape(CHUNK_BREAK_SETS[state].encode("ascii")) + b"]+")
 
@@ -114,11 +119,11 @@ _RUN_CDATA_B = _bytes_scanner("_cdata_section_state")
 # terminates it with ONE pattern, dispatching on ``lastindex``: one regex
 # call per text+tag pair instead of two.  The text prefix (group 1) is
 # possessive (``*+``) so a construct that fails to match cannot backtrack
-# into the run one byte at a time.  Character classes mirror the str fast
-# path (`_RE_FAST_START_TAG` et al. — complements of CHUNK_BREAK_SETS
-# entries) except that the tag alternatives additionally exclude bytes >=
-# 0x80: non-ASCII names/attributes bail to the per-state machine rather
-# than teach the fast path about character widths.  Text runs do include
+# into the run one byte at a time.  Character classes are complements of
+# CHUNK_BREAK_SETS entries for the corresponding states, except that the
+# tag alternatives additionally exclude bytes >= 0x80: non-ASCII
+# names/attributes bail to the per-state machine rather than teach the
+# fast path about character widths.  Text runs do include
 # high bytes — they are decoded (and validated) as a unit only when
 # non-ASCII is actually present.
 # The single-attribute alternative (groups 4-6) is tried before the
@@ -171,9 +176,9 @@ _RE_FAST_DOCTYPE = re.compile(
     rb"([Hh][Tt][Mm][Ll])[ \t\n\f]*>"
 )
 
-#: one attribute inside a master-matched region: (sep, name, value); the
-#: bytes twin of ``_RE_FAST_ATTR``, shared by the lazy probe, the eager
-#: fallback parser and the lazy materializer so all three agree.
+#: one attribute inside a master-matched region: (sep, name, value);
+#: shared by the lazy probe, the eager fallback parser and the lazy
+#: materializer so all three agree.
 _RE_FAST_ATTR_B = re.compile(
     rb"([\t\n\f ]*)([^\t\n\f />=\x00\"'<\x80-\xff]+)"
     rb"(?:[\t\n\f ]*=[\t\n\f ]*"
@@ -239,7 +244,7 @@ class BytesTokenizer(Tokenizer):
     """Pull-based tokenizer over raw UTF-8 bytes; see the module docstring.
 
     Overrides exactly the ``CHUNK_BREAK_SETS`` states (``BYTES_OVERRIDES``
-    is machine-checked against ``REFERENCE_OVERRIDES``) plus the position /
+    is machine-checked against the declaration) plus the position /
     character plumbing.  Token and error streams are char-offset identical
     to ``Tokenizer(preprocess(decode(data)).text)`` for valid UTF-8 input;
     invalid UTF-8 raises :class:`UnicodeDecodeError` at the first scan that
@@ -419,8 +424,8 @@ class BytesTokenizer(Tokenizer):
             self._advance_na_pos(end)
 
     def _scan_run_b(self, run: re.Pattern[bytes]) -> str | None:
-        """Bytes twin of ``Tokenizer._scan_run``: buffer the maximal run as a
-        lazy part, consume and return the (always-ASCII) break character."""
+        """Buffer the maximal run as a lazy part, consume and return the
+        (always-ASCII) break character (None at EOF)."""
         data = self._src.data
         bpos = self._bpos
         if bpos >= len(data):
@@ -796,8 +801,10 @@ class BytesTokenizer(Tokenizer):
         return True
 
     def _parse_attributes(self, tag: StartTag, start: int, end: int, offs: int) -> None:
-        """Eager region parse, mirroring ``Tokenizer._fast_tag``'s attribute
-        loop (including the one-attribute deferral of duplicate reports)."""
+        """Eager region parse, matching the state machine's error sequence:
+        a duplicate is reported when the *next* attribute starts (after its
+        own missing-whitespace error) or the tag ends, so each report is
+        deferred by one attribute."""
         data = self._src.data
         self._src.decoded += end - start
         attrs = tag.attributes
@@ -1178,9 +1185,9 @@ class BytesTokenizer(Tokenizer):
 
 
 #: the chunked states this class re-implements over bytes; compared against
-#: ``REFERENCE_OVERRIDES`` (== ``CHUNK_BREAK_SETS``) by the tier-1
-#: equivalence test and the staticcheck ``state-machine`` pass, so the three
-#: scanners stay in lock-step.
+#: ``CHUNK_BREAK_SETS`` by the tier-1 equivalence test and the staticcheck
+#: ``state-machine`` pass, so a declared state cannot silently fall back to
+#: the inherited per-character loop.
 BYTES_OVERRIDES: frozenset[str] = frozenset(
     name
     for name in vars(BytesTokenizer)

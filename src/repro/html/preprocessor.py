@@ -9,6 +9,10 @@ described in the paper's section 2.1:
 * the *Input Stream Preprocessor* normalizes newlines: every CRLF pair and
   every lone CR becomes a single LF, because CR is not allowed to reach the
   tokenizer.
+
+Str input crosses into the bytes domain through :func:`encode_text`, so
+documents given as text are tokenized by the same bytes scanner as crawled
+payloads.
 """
 from __future__ import annotations
 
@@ -25,6 +29,9 @@ UTF8_BOM = b"\xef\xbb\xbf"
 #: one pass handles both newline forms: ``\r\n?`` consumes a CRLF pair or a
 #: lone CR and rewrites either to LF
 _RE_CR = re.compile("\r\n?")
+
+#: surrogate code points: a Python str may hold them, UTF-8 cannot encode them
+_RE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 #: C0/C1 controls that are parse errors when they appear in the input stream
 #: (spec 13.2.3.5).  TAB, LF, FF, CR and NUL are handled separately.
@@ -47,6 +54,26 @@ def decode_bytes(data: bytes) -> str | None:
         return None
 
 
+def encode_text(text: str) -> bytes:
+    """UTF-8 bytes that the bytes tokenizer reads as ``preprocess(text).text``.
+
+    Each surrogate code point becomes U+FFFD first.  A Python str holds code
+    points, so every surrogate in it is unpaired, and UTF-8 has no encoding
+    for one; the substitution is WebIDL's USVString conversion, one code
+    point for one, so every offset is unchanged.  A leading U+FEFF gets a
+    byte BOM in front: the bytes tokenizer strips a byte BOM (the
+    :func:`decode_bytes` step) and then one U+FEFF (the :func:`preprocess`
+    step), so exactly the str's own BOM goes.
+    """
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError:
+        data = _RE_SURROGATE.sub("\ufffd", text).encode("utf-8")
+    if text.startswith(_BOM):
+        data = UTF8_BOM + data
+    return data
+
+
 @dataclass(slots=True)
 class PreprocessResult:
     text: str
@@ -62,12 +89,11 @@ def preprocess(text: str, *, collect_errors: bool = False) -> PreprocessResult:
     only; the characters themselves are passed through unchanged, as the
     spec requires).
 
-    This is the str-caller fallback path — the bytes-domain tokenizer folds
-    the same normalization into its scan — so it is kept allocation-lean:
-    no work at all when neither a BOM nor a CR appears, at most one slice
-    for the BOM, and one combined substitution pass for both newline forms
-    (the old ``.replace("\\r\\n", ...).replace("\\r", ...)`` chain copied
-    the whole document twice whenever a lone CR followed any CRLF).
+    The bytes tokenizer folds the same normalization into its scan; this
+    str form feeds the per-character reference :class:`Tokenizer` that the
+    bytes scanner is diffed against.  It does no work at all when neither
+    a BOM nor a CR appears, at most one slice for the BOM, and one combined
+    substitution pass for both newline forms.
     """
     if text.startswith(_BOM):
         text = text[1:]

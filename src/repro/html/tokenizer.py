@@ -9,13 +9,20 @@ spec-named parse error it passes through.  The paper's "Parsing Errors"
 violation category (FB1, FB2, DM3, parts of DE3) is defined directly in
 terms of these error states.
 
+:class:`Tokenizer` is the spec-literal reference: every state consumes one
+character per step, exactly as section 13.2.5 is written.  Parsing runs its
+subclass :class:`~repro.html.bytes_tokenizer.BytesTokenizer`, which
+bulk-scans the ``CHUNK_BREAK_SETS`` states over raw UTF-8 bytes and
+inherits every other state from here.  The ``bytes_parity`` fuzz oracle and
+``tests/html/test_tokenizer_equivalence.py`` diff the two token and
+parse-error streams.
+
 The tree builder drives the tokenizer: after start tags such as ``textarea``
 or ``script`` it calls :meth:`Tokenizer.switch_to` to move the machine into
 the matching text state, exactly as the spec's tree-construction stage does.
 """
 from __future__ import annotations
 
-import re
 from collections import deque
 from typing import Iterator
 
@@ -47,21 +54,20 @@ RAWTEXT = "rawtext"
 SCRIPT_DATA = "script_data"
 PLAINTEXT = "plaintext"
 
-# --------------------------------------------------------- chunked scanning
+# ------------------------------------------------------------ chunked states
 #
-# The hot text-ish states do not dispatch per character: each bulk-scans to
-# its next significant delimiter with a precompiled regex and hands only the
-# delimiter itself to the per-character spec transitions.  Every chunked
-# state declares its delimiter ("break") set here — the single source of
-# truth its run pattern is compiled from.  The staticcheck ``state-machine``
-# pass verifies (a) every declared break character has an explicit
-# per-character handler branch in the named state (or a helper it calls), so
-# widening a break set without handling the new delimiter is a lint error,
-# and (b) every ``_scanner(...)`` pattern below is derived from a declared
-# entry.  The per-character twins live in ``reference_tokenizer.py``; the
-# ``fastpath`` fuzz oracle diffs the two token/error streams.
+# The bytes scanner (``bytes_tokenizer.py``) does not dispatch per character
+# in its hot text-ish states: each bulk-scans to its next significant
+# delimiter with a precompiled regex and hands only the delimiter itself to
+# the per-character spec transitions.  Every chunked state declares its
+# delimiter ("break") set here — the single source of truth its run pattern
+# is compiled from.  The per-character originals of those states are the
+# methods of the same names below.  The staticcheck ``state-machine`` pass
+# verifies that every declared state exists here, that the bytes run
+# patterns derive from this declaration, and that every bytes handler
+# handles each of its declared break characters.
 
-#: delimiter sets of the chunked fast-path states, keyed by handler name
+#: delimiter sets of the bytes scanner's chunked states, keyed by handler name
 CHUNK_BREAK_SETS: dict[str, str] = {
     "_data_state": "&<\x00",
     "_rcdata_state": "&<\x00",
@@ -83,80 +89,19 @@ CHUNK_BREAK_SETS: dict[str, str] = {
 }
 
 
-def _scanner(state: str) -> re.Pattern[str]:
-    """Compile ``state``'s longest-run pattern from its declared break set."""
-    return re.compile("[^" + re.escape(CHUNK_BREAK_SETS[state]) + "]+")
-
-
-_RUN_DATA = _scanner("_data_state")
-_RUN_RCDATA = _scanner("_rcdata_state")
-_RUN_RAWTEXT = _scanner("_rawtext_state")
-_RUN_SCRIPT_DATA = _scanner("_script_data_state")
-_RUN_PLAINTEXT = _scanner("_plaintext_state")
-_RUN_TAG_NAME = _scanner("_tag_name_state")
-_RUN_ATTR_NAME = _scanner("_attribute_name_state")
-_RUN_ATTR_VALUE_DOUBLE = _scanner("_attribute_value_double_state")
-_RUN_ATTR_VALUE_SINGLE = _scanner("_attribute_value_single_state")
-_RUN_ATTR_VALUE_UNQUOTED = _scanner("_attribute_value_unquoted_state")
-_RUN_COMMENT = _scanner("_comment_state")
-_RUN_BOGUS_COMMENT = _scanner("_bogus_comment_state")
-_RUN_SCRIPT_ESCAPED = _scanner("_script_data_escaped_state")
-_RUN_SCRIPT_DOUBLE_ESCAPED = _scanner("_script_data_double_escaped_state")
-_RUN_DOCTYPE_NAME = _scanner("_doctype_name_state")
-_RUN_BOGUS_DOCTYPE = _scanner("_bogus_doctype_state")
-_RUN_CDATA = _scanner("_cdata_section_state")
-
-# Fused whole-tag patterns for the data state's happy path: a start/end tag
-# that cannot produce a parse error, parse-error flag (``preceded_by_solidus``
-# / ``missing_preceding_space``) or character reference is recognised with a
-# single regex instead of 10+ state dispatches.  Anything else — NULs, quotes
-# in names, ``=`` before a name, missing whitespace, ``&`` in values, stray
-# solidi, EOF — fails the match and falls back to the per-state machine, so
-# the error paths (the study's violation signal) stay in exactly one place.
-# The character classes are the complements of the CHUNK_BREAK_SETS entries
-# for the corresponding states.
-_RE_FAST_START_TAG = re.compile(
-    r"([a-zA-Z][^\t\n\f />\x00]*)"            # tag name
-    # Attributes are separated by whitespace, or — the FB2 shape — by
-    # nothing at all directly after a quoted value (the lookbehind):
-    # missing-whitespace-between-attributes is the one parse error common
-    # enough in the wild that the fast path reproduces it instead of
-    # bailing out to the state machine.
-    r"((?:(?:[\t\n\f ]+|(?<=[\"']))[^\t\n\f />=\x00\"'<]+"
-    r"(?:[\t\n\f ]*=[\t\n\f ]*"               # ... with optional =value
-    r"(?:\"[^\"&\x00]*\"|'[^'&\x00]*'|[^\t\n\f >&\x00\"'<=`]+))?)*)"
-    r"[\t\n\f ]*(/?)>"
-)
-_RE_FAST_ATTR = re.compile(
-    r"([\t\n\f ]*)([^\t\n\f />=\x00\"'<]+)"
-    r"(?:[\t\n\f ]*=[\t\n\f ]*"
-    r"(\"[^\"&\x00]*\"|'[^'&\x00]*'|[^\t\n\f >&\x00\"'<=`]+))?"
-)
-_RE_FAST_END_TAG = re.compile(r"/([a-zA-Z][^\t\n\f />\x00]*)[\t\n\f ]*>")
-#: shortcut for the most common shape — a lowercase, attribute-less start
-#: tag (``<p>``, ``<div>``): skips the attribute machinery entirely.
-_RE_FAST_SIMPLE_TAG = re.compile(r"([a-z][a-z0-9]*)>")
-
-#: Start-tag names after which the tree builder may call ``switch_to`` to
-#: change the content model (RCDATA/RAWTEXT/script data/PLAINTEXT).  The
-#: data-state batch loop returns to the pull loop after emitting one of
-#: these so the builder's switch happens before the next character is
-#: scanned; every other tag is safe to tokenize straight through.
-_MODE_SWITCH_TAGS = frozenset({
-    "title", "textarea", "style", "xmp", "iframe", "noembed",
-    "noframes", "noscript", "script", "plaintext",
-})
-
-
 class Tokenizer:
-    """Pull-based HTML tokenizer.
+    """Pull-based HTML tokenizer; the per-character spec reference.
 
     Usage::
 
-        tok = Tokenizer(html_text)
+        tok = Tokenizer(preprocess(html_text).text)
         for token in tok:
             ...
         tok.errors  # list[ParseError]
+
+    ``text`` must already be preprocessed (no BOM, no CR).  Document
+    parsing does not run this class: :func:`repro.html.parse` encodes to
+    UTF-8 and runs :class:`~repro.html.bytes_tokenizer.BytesTokenizer`.
     """
 
     def __init__(self, text: str) -> None:
@@ -325,185 +270,23 @@ class Tokenizer:
 
     # --------------------------------------------------------- data states
 
-    def _scan_run(self, run: re.Pattern[str]) -> str | None:
-        """Emit the maximal run of plain text, then return the break char.
-
-        Fast path for the text-ish states: bulk-scans with the state's
-        precompiled run pattern, emits everything before the next break
-        character as one source slice, consumes and returns the break
-        character (None at EOF).
-        """
-        text = self.text
-        pos = self.pos
-        if pos >= len(text):
-            self.pos = pos + 1
-            return None
-        match = run.match(text, pos)
-        if match is not None:
-            end = match.end()
-            if not self._char_buffer:
-                self._char_start = pos
-            self._char_buffer.append(text[pos:end])
-            if end == len(text):
-                self.pos = end + 1
-                return None
-            pos = end
-        self.pos = pos + 1
-        return text[pos]
-
     def _data_state(self) -> None:
-        """Data state, batched: text runs and error-free tags are consumed
-        in a loop until EOF, a slow-path construct (``_fast_tag`` bailout),
-        or a tag that may switch the content model hands control back."""
-        text = self.text
-        length = len(text)
-        buffer = self._char_buffer
-        while True:
-            pos = self.pos
-            if pos >= length:
-                self.pos = pos + 1
-                self._emit_eof()
-                return
-            match = _RUN_DATA.match(text, pos)
-            if match is not None:
-                end = match.end()
-                if not buffer:
-                    self._char_start = pos
-                buffer.append(text[pos:end])
-                if end == length:
-                    self.pos = end + 1
-                    self._emit_eof()
-                    return
-                pos = end
-            self.pos = pos + 1
-            char = text[pos]
-            if char == "<":
-                tag = self._fast_tag()
-                if tag is None:
-                    self._tag_start_offset = pos
-                    self._state = self._tag_open_state
-                    return
-                buffer = self._char_buffer  # _fast_tag flushed the old one
-                if tag.__class__ is StartTag and tag.name in _MODE_SWITCH_TAGS:
-                    return
-            elif char == "&":
-                self._consume_char_ref(self._data_state)
-            elif char == "\x00":
-                self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
-                self._emit_char(char)
-
-    def _fast_tag(self) -> StartTag | EndTag | None:
-        """Recognise one error-free tag at ``pos`` with a single regex.
-
-        Returns the emitted tag when the whole tag (name, attributes,
-        ``>``) was consumed; None bails out to ``_tag_open_state`` with no
-        input consumed.  Must be behaviourally invisible: every input it
-        accepts produces exactly the token the state machine would, and
-        any input that could produce a parse error fails the match.
-        """
-        text = self.text
-        pos = self.pos  # just past "<"
-        if not text.startswith("/", pos):
-            match = _RE_FAST_SIMPLE_TAG.match(text, pos)
-            if match is not None:
-                name = match[1]
-                tag = StartTag(pos - 1, name)
-                tag.end = self.pos = match.end()
-                self._last_start_tag = name
-                buffer = self._char_buffer
-                if buffer:
-                    self._queue.append(
-                        Character(
-                            self._char_start,
-                            buffer[0] if len(buffer) == 1 else "".join(buffer),
-                        )
-                    )
-                    self._char_buffer = []
-                self._queue.append(tag)
-                return tag
-            match = _RE_FAST_START_TAG.match(text, pos)
-            if match is None:
-                return None
-            name = match[1]
-            if not name.islower():
-                name = name.translate(_TO_ASCII_LOWER)
-            tag = StartTag(pos - 1, name)
-            if match.end(2) > match.start(2):
-                attrs = tag.attributes
-                seen: set[str] = set()
-                # The state machine reports a duplicate attribute when the
-                # NEXT attribute starts (or the tag ends), after any
-                # missing-whitespace error for that next attribute — so the
-                # duplicate report is deferred one attribute to keep the
-                # error sequence identical.
-                pending_dup: tuple[str, int] | None = None
-                for attr_match in _RE_FAST_ATTR.finditer(
-                    text, match.start(2), match.end(2)
-                ):
-                    name_start = attr_match.start(2)
-                    glued = attr_match.start(1) == name_start
-                    if glued:
-                        self._error(
-                            ErrorCode.MISSING_WHITESPACE_BETWEEN_ATTRIBUTES,
-                            offset=name_start + 1,
-                        )
-                    if pending_dup is not None:
-                        self._error(
-                            ErrorCode.DUPLICATE_ATTRIBUTE,
-                            detail=pending_dup[0],
-                            offset=pending_dup[1],
-                        )
-                        pending_dup = None
-                    value = attr_match[3]
-                    if value is None:
-                        value = ""
-                    elif value[0] in "\"'":
-                        value = value[1:-1]
-                    attr_name = attr_match[2]
-                    if not attr_name.islower():
-                        attr_name = attr_name.translate(_TO_ASCII_LOWER)
-                    attr = Attribute(attr_name, value, name_start)
-                    if glued:
-                        attr.missing_preceding_space = True
-                    if attr_name in seen:
-                        attr.duplicate = True
-                        pending_dup = (attr_name, name_start)
-                    else:
-                        seen.add(attr_name)
-                    attrs.append(attr)
-                if pending_dup is not None:
-                    self._error(
-                        ErrorCode.DUPLICATE_ATTRIBUTE,
-                        detail=pending_dup[0],
-                        offset=pending_dup[1],
-                    )
-            if match[3]:
-                tag.self_closing = True
-            tag.end = self.pos = match.end()
-            self._last_start_tag = name
+        char = self._next()
+        if char is None:
+            self._emit_eof()
+        elif char == "&":
+            self._consume_char_ref(self._data_state)
+        elif char == "<":
+            self._tag_start_offset = self.pos - 1
+            self._state = self._tag_open_state
+        elif char == "\x00":
+            self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
+            self._emit_char(char)
         else:
-            match = _RE_FAST_END_TAG.match(text, pos)
-            if match is None:
-                return None
-            name = match[1]
-            if not name.islower():
-                name = name.translate(_TO_ASCII_LOWER)
-            tag = EndTag(pos - 1, name)
-            tag.end = self.pos = match.end()
-        buffer = self._char_buffer
-        if buffer:
-            self._queue.append(
-                Character(
-                    self._char_start,
-                    buffer[0] if len(buffer) == 1 else "".join(buffer),
-                )
-            )
-            self._char_buffer = []
-        self._queue.append(tag)
-        return tag
+            self._emit_char(char)
 
     def _rcdata_state(self) -> None:
-        char = self._scan_run(_RUN_RCDATA)
+        char = self._next()
         if char is None:
             self._emit_eof()
         elif char == "&":
@@ -513,9 +296,11 @@ class Tokenizer:
         elif char == "\x00":
             self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
             self._emit_char(_REPLACEMENT)
+        else:
+            self._emit_char(char)
 
     def _rawtext_state(self) -> None:
-        char = self._scan_run(_RUN_RAWTEXT)
+        char = self._next()
         if char is None:
             self._emit_eof()
         elif char == "<":
@@ -523,14 +308,18 @@ class Tokenizer:
         elif char == "\x00":
             self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
             self._emit_char(_REPLACEMENT)
+        else:
+            self._emit_char(char)
 
     def _plaintext_state(self) -> None:
-        char = self._scan_run(_RUN_PLAINTEXT)
+        char = self._next()
         if char is None:
             self._emit_eof()
         elif char == "\x00":
             self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
             self._emit_char(_REPLACEMENT)
+        else:
+            self._emit_char(char)
 
     # ----------------------------------------------------------- tag states
 
@@ -582,12 +371,7 @@ class Tokenizer:
     def _tag_name_state(self) -> None:
         tag = self._current_tag
         assert tag is not None
-        text = self.text
         while True:
-            match = _RUN_TAG_NAME.match(text, self.pos)
-            if match is not None:
-                tag.name += match.group().translate(_TO_ASCII_LOWER)
-                self.pos = match.end()
             char = self._next()
             if char is None:
                 self._error(ErrorCode.EOF_IN_TAG)
@@ -605,6 +389,8 @@ class Tokenizer:
             if char == "\x00":
                 self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
                 tag.name += _REPLACEMENT
+            else:
+                tag.name += char.translate(_TO_ASCII_LOWER)
 
     def _before_attribute_name_state(self) -> None:
         char = self._next()
@@ -625,12 +411,7 @@ class Tokenizer:
     def _attribute_name_state(self) -> None:
         attr = self._current_attr
         assert attr is not None
-        text = self.text
         while True:
-            match = _RUN_ATTR_NAME.match(text, self.pos)
-            if match is not None:
-                attr.name += match.group().translate(_TO_ASCII_LOWER)
-                self.pos = match.end()
             char = self._next()
             if char is None or char in "/>" or char in _WHITESPACE:
                 self._reconsume()
@@ -647,6 +428,8 @@ class Tokenizer:
                     ErrorCode.UNEXPECTED_CHARACTER_IN_ATTRIBUTE_NAME, detail=char
                 )
                 attr.name += char
+            else:
+                attr.name += char.translate(_TO_ASCII_LOWER)
 
     def _after_attribute_name_state(self) -> None:
         char = self._next()
@@ -685,25 +468,16 @@ class Tokenizer:
             self._state = self._attribute_value_unquoted_state
 
     def _attribute_value_double_state(self) -> None:
-        self._quoted_value_state(
-            '"', _RUN_ATTR_VALUE_DOUBLE, self._attribute_value_double_state
-        )
+        self._quoted_attribute_value('"', self._attribute_value_double_state)
 
     def _attribute_value_single_state(self) -> None:
-        self._quoted_value_state(
-            "'", _RUN_ATTR_VALUE_SINGLE, self._attribute_value_single_state
-        )
+        self._quoted_attribute_value("'", self._attribute_value_single_state)
 
-    def _quoted_value_state(self, quote: str, run: re.Pattern[str], state) -> None:
-        """Shared quoted-value scanner; consumes runs, not characters."""
+    def _quoted_attribute_value(self, quote: str, state) -> None:
+        """Per-character quoted attribute value (spec 13.2.5.36/37)."""
         attr = self._current_attr
         assert attr is not None
-        text = self.text
         while True:
-            match = run.match(text, self.pos)
-            if match is not None:
-                attr.value += match.group()
-                self.pos = match.end()
             char = self._next()
             if char is None:
                 self._error(ErrorCode.EOF_IN_TAG)
@@ -718,16 +492,13 @@ class Tokenizer:
             if char == "\x00":
                 self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
                 attr.value += _REPLACEMENT
+            else:
+                attr.value += char
 
     def _attribute_value_unquoted_state(self) -> None:
         attr = self._current_attr
         assert attr is not None
-        text = self.text
         while True:
-            match = _RUN_ATTR_VALUE_UNQUOTED.match(text, self.pos)
-            if match is not None:
-                attr.value += match.group()
-                self.pos = match.end()
             char = self._next()
             if char is None:
                 self._error(ErrorCode.EOF_IN_TAG)
@@ -750,6 +521,8 @@ class Tokenizer:
                     ErrorCode.UNEXPECTED_CHARACTER_IN_UNQUOTED_ATTRIBUTE_VALUE,
                     detail=char,
                 )
+                attr.value += char
+            else:
                 attr.value += char
 
     def _after_attribute_value_quoted_state(self) -> None:
@@ -854,7 +627,7 @@ class Tokenizer:
     # ------------------------------------------------------------ script data
 
     def _script_data_state(self) -> None:
-        char = self._scan_run(_RUN_SCRIPT_DATA)
+        char = self._next()
         if char is None:
             self._emit_eof()
         elif char == "<":
@@ -862,6 +635,8 @@ class Tokenizer:
         elif char == "\x00":
             self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
             self._emit_char(_REPLACEMENT)
+        else:
+            self._emit_char(char)
 
     def _script_data_less_than_state(self) -> None:
         char = self._next()
@@ -915,7 +690,7 @@ class Tokenizer:
             self._state = self._script_data_state
 
     def _script_data_escaped_state(self) -> None:
-        char = self._scan_run(_RUN_SCRIPT_ESCAPED)
+        char = self._next()
         if char is None:
             self._error(ErrorCode.EOF_IN_SCRIPT_HTML_COMMENT_LIKE_TEXT)
             self._emit_eof()
@@ -927,6 +702,8 @@ class Tokenizer:
         elif char == "\x00":
             self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
             self._emit_char(_REPLACEMENT)
+        else:
+            self._emit_char(char)
 
     def _script_data_escaped_dash_state(self) -> None:
         char = self._next()
@@ -1013,7 +790,7 @@ class Tokenizer:
             self._state = self._script_data_escaped_state
 
     def _script_data_double_escaped_state(self) -> None:
-        char = self._scan_run(_RUN_SCRIPT_DOUBLE_ESCAPED)
+        char = self._next()
         if char is None:
             self._error(ErrorCode.EOF_IN_SCRIPT_HTML_COMMENT_LIKE_TEXT)
             self._emit_eof()
@@ -1026,6 +803,8 @@ class Tokenizer:
         elif char == "\x00":
             self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
             self._emit_char(_REPLACEMENT)
+        else:
+            self._emit_char(char)
 
     def _script_data_double_escaped_dash_state(self) -> None:
         char = self._next()
@@ -1124,12 +903,7 @@ class Tokenizer:
     def _bogus_comment_state(self) -> None:
         comment = self._current_comment
         assert comment is not None
-        text = self.text
         while True:
-            match = _RUN_BOGUS_COMMENT.match(text, self.pos)
-            if match is not None:
-                comment.data += match.group()
-                self.pos = match.end()
             char = self._next()
             if char is None:
                 self._emit(comment)
@@ -1144,6 +918,8 @@ class Tokenizer:
             if char == "\x00":
                 self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
                 comment.data += _REPLACEMENT
+            else:
+                comment.data += char
 
     def _comment_start_state(self) -> None:
         char = self._next()
@@ -1180,12 +956,7 @@ class Tokenizer:
     def _comment_state(self) -> None:
         comment = self._current_comment
         assert comment is not None
-        text = self.text
         while True:
-            match = _RUN_COMMENT.match(text, self.pos)
-            if match is not None:
-                comment.data += match.group()
-                self.pos = match.end()
             char = self._next()
             if char is None:
                 self._error(ErrorCode.EOF_IN_COMMENT)
@@ -1202,6 +973,8 @@ class Tokenizer:
             if char == "\x00":
                 self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
                 comment.data += _REPLACEMENT
+            else:
+                comment.data += char
 
     def _comment_less_than_state(self) -> None:
         char = self._next()
@@ -1350,12 +1123,7 @@ class Tokenizer:
     def _doctype_name_state(self) -> None:
         doctype = self._current_doctype
         assert doctype is not None
-        text = self.text
         while True:
-            match = _RUN_DOCTYPE_NAME.match(text, self.pos)
-            if match is not None:
-                doctype.name += match.group().translate(_TO_ASCII_LOWER)
-                self.pos = match.end()
             char = self._next()
             if char is None:
                 self._error(ErrorCode.EOF_IN_DOCTYPE)
@@ -1375,6 +1143,8 @@ class Tokenizer:
             if char == "\x00":
                 self._error(ErrorCode.UNEXPECTED_NULL_CHARACTER)
                 doctype.name += _REPLACEMENT
+            else:
+                doctype.name += char.translate(_TO_ASCII_LOWER)
 
     def _emit_doctype(self, *, quirks: bool = False, at_eof: bool = False) -> None:
         doctype = self._current_doctype
@@ -1616,12 +1386,7 @@ class Tokenizer:
             self._state = self._bogus_doctype_state
 
     def _bogus_doctype_state(self) -> None:
-        text = self.text
         while True:
-            match = _RUN_BOGUS_DOCTYPE.match(text, self.pos)
-            if match is not None:
-                # bogus DOCTYPE content is discarded wholesale (spec 13.2.5.68)
-                self.pos = match.end()
             char = self._next()
             if char is None:
                 self._emit_doctype(at_eof=True)
@@ -1636,7 +1401,7 @@ class Tokenizer:
 
     def _cdata_section_state(self) -> None:
         while True:
-            char = self._scan_run(_RUN_CDATA)
+            char = self._next()
             if char is None:
                 self._error(ErrorCode.EOF_IN_CDATA)
                 self._emit_eof()
@@ -1647,10 +1412,13 @@ class Tokenizer:
                     self._state = self._data_state
                     return
                 self._emit_char("]")
+            else:
+                self._emit_char(char)
 
 
 def tokenize(text: str) -> tuple[list[Token], list[ParseError]]:
-    """Tokenize ``text`` fully in the data state; convenience for tests/rules.
+    """Tokenize ``text`` fully in the data state with the per-character
+    reference; convenience for tests.
 
     Note: without a tree builder driving content-model switches, ``script``
     and ``style`` content is tokenized as markup.  Use :func:`repro.html.parse`

@@ -32,7 +32,7 @@ from .dom import (
 )
 from .errors import ErrorCode, ParseError
 from .bytes_tokenizer import BytesTokenizer
-from .preprocessor import preprocess
+from .preprocessor import encode_text
 from .quirks import quirks_mode_for
 from .tokenizer import (
     DATA,
@@ -657,8 +657,13 @@ class TreeBuilder:
     # ------------------------------------------------------------ public API
 
     def parse(self, text: str) -> ParseResult:
-        pre = preprocess(text)
-        return self._run(Tokenizer(pre.text), pre.text)
+        """Parse str input with the bytes tokenizer (see :func:`parse`).
+
+        The result equals the reference ``Tokenizer(preprocess(text).text)``
+        parse after :func:`~repro.html.preprocessor.encode_text`'s U+FFFD
+        substitution of surrogate code points.
+        """
+        return self.parse_bytes(encode_text(text))
 
     def parse_bytes(self, data: bytes) -> ParseResult:
         """Parse raw UTF-8 bytes through the decode-free tokenizer.
@@ -2727,17 +2732,23 @@ def _describe_token(token: Token) -> str:
 # ------------------------------------------------------------------ frontends
 
 def parse(text: str, *, collect_tokens: bool = True) -> ParseResult:
-    """Parse a full HTML document with the error-tolerant algorithm."""
+    """Parse a full HTML document with the error-tolerant algorithm.
+
+    ``text`` is encoded to UTF-8 and parsed by the same bytes tokenizer as
+    :func:`parse_bytes`.  A lone surrogate has no UTF-8 encoding, so each
+    surrogate code point in ``text`` becomes U+FFFD first (WebIDL's
+    USVString conversion); the swap is one code point for one, so every
+    offset still indexes ``text``.
+    """
     return TreeBuilder(collect_tokens=collect_tokens).parse(text)
 
 
 def parse_bytes(data: bytes, *, collect_tokens: bool = True) -> ParseResult:
     """Parse raw UTF-8 bytes decode-free (the pipeline hot path).
 
-    Equivalent to ``parse(preprocess(decode_bytes(data)).text)`` for valid
-    UTF-8 input but without the upfront decode and normalization copies;
-    raises :class:`UnicodeDecodeError` for input the section 4.1 encoding
-    filter would reject.
+    Equivalent to ``parse(decode_bytes(data))`` for valid UTF-8 input but
+    without the upfront decode; raises :class:`UnicodeDecodeError` for
+    input the section 4.1 encoding filter would reject.
     """
     return TreeBuilder(collect_tokens=collect_tokens).parse_bytes(data)
 
@@ -2768,7 +2779,9 @@ def parse_fragment(
 
     Returns the list of parsed top-level nodes plus the full parse result.
     This is what HTML sanitizers effectively do, and what the mXSS example
-    uses to reproduce the Figure 1 DOMPurify bypass.
+    uses to reproduce the Figure 1 DOMPurify bypass.  ``text`` crosses into
+    the bytes tokenizer exactly as in :meth:`TreeBuilder.parse`, surrogate
+    rule included.
     """
     context_element = Element(context)
     builder = TreeBuilder(
@@ -2790,23 +2803,9 @@ def parse_fragment(
     builder.reset_insertion_mode()
     if builder.mode == builder._mode_before_head:  # context was html-ish
         builder.mode = builder._mode_in_body
-    pre = preprocess(text)
-    builder.tokenizer = Tokenizer(pre.text)
-    builder.tokenizer.switch_to(initial_state)
+    tokenizer = BytesTokenizer(encode_text(text))
+    tokenizer.switch_to(initial_state)
+    builder.tokenizer = tokenizer
     builder._update_foreign_flag()
-    for token in builder.tokenizer:
-        if builder._collect_tokens:
-            builder.tokens.append(token)
-        builder.process_token(token)
-        if builder._stopped:
-            break
-    builder.errors.extend(builder.tokenizer.errors)
-    builder.errors.sort(key=lambda error: error.offset)
-    result = ParseResult(
-        document=builder.document,
-        errors=builder.errors,
-        events=builder.events,
-        tokens=builder.tokens if builder._collect_tokens else [],
-        source=pre.text,
-    )
+    result = builder._run(tokenizer, tokenizer._src)
     return list(root.children), result

@@ -65,7 +65,8 @@ def parse_batch_line(raw: bytes) -> tuple[bytes, str] | Response:
     """Decode one input line to ``(document bytes, url)``.
 
     Anything malformed — undecodable line, non-object JSON, missing or
-    conflicting document fields, bad base64 — returns the 400
+    conflicting document fields, ``html`` text with no UTF-8 encoding,
+    bad base64 — returns the 400
     :class:`Response` that becomes this line's framed result; the rest
     of the batch is unaffected.
     """
@@ -84,7 +85,12 @@ def parse_batch_line(raw: bytes) -> tuple[bytes, str] | Response:
     if has_html:
         if not isinstance(obj["html"], str):
             return error_response(400, "'html' must be a string")
-        body = obj["html"].encode("utf-8")
+        try:
+            body = obj["html"].encode("utf-8")
+        except UnicodeEncodeError:
+            # JSON can escape a lone surrogate ("\ud800"); UTF-8 cannot
+            # encode one, and UTF-8 is the wire format
+            return error_response(400, "'html' has no UTF-8 encoding")
     else:
         if not isinstance(obj["body_b64"], str):
             return error_response(400, "'body_b64' must be a string")

@@ -23,33 +23,17 @@ matching a handler pattern) this pass checks:
   its keys must cover every public ALL-CAPS module-level string constant
   (the declared content models: DATA, RCDATA, RAWTEXT, ...).
 
-The tokenizer's chunked fast path adds a fourth family of invariants,
-driven by its ``CHUNK_BREAK_SETS`` declaration (handler name -> the
-delimiter set its bulk-scan run pattern stops at).  When a module declares
-that dict, the pass verifies:
+The bytes-domain tokenizer (``repro/html/bytes_tokenizer.py``) bulk-scans
+some tokenizer states instead of dispatching per character.  Each chunked
+state's delimiter set is declared once, in ``CHUNK_BREAK_SETS`` in
+``tokenizer.py`` (handler name -> the characters its run pattern stops
+at), and the per-character reference ``Tokenizer`` there defines the
+state itself.  That adds a family of invariants (the cross-file ones are
+emitted from :meth:`finish`, since the declaration and the bytes
+patterns live in different modules):
 
 * **declared handlers exist** — every ``CHUNK_BREAK_SETS`` key names a
-  defined state handler in the module;
-* **run patterns come from declarations** — every ``_scanner("...")``
-  call names a declared key, and every key is compiled by exactly such a
-  call (a break set nobody scans with is dead, a scanner without a
-  declaration is unchecked);
-* **handlers use their own pattern** — the handler's body references the
-  module-level run pattern compiled from its declaration, so a chunked
-  state cannot silently scan with another state's delimiters;
-* **every break character is handled** — each character of the declared
-  break set appears in a string literal inside the handler, a helper
-  method it calls on ``self``, or a module string constant those bodies
-  reference (``_WHITESPACE``).  Widening a break set without adding the
-  per-character branch for the new delimiter is a lint error: the run
-  pattern would stop at a character the state then silently drops.
-
-The bytes-domain tokenizer (``repro/html/bytes_tokenizer.py``) re-chunks
-the same states over raw UTF-8, which adds a cross-file family of
-invariants (emitted from :meth:`finish`, since the break-set declaration
-lives in ``tokenizer.py`` while the bytes patterns live in their own
-module):
-
+  state handler defined in the declaring module;
 * **single source of truth** — the ``_bytes_scanner`` factory must
   derive its patterns from ``CHUNK_BREAK_SETS`` (it references the
   imported dict), and every ``_bytes_scanner("...")`` call names a
@@ -61,26 +45,28 @@ module):
   set (widening a break set without updating the master class is a lint
   error, not a silent divergence);
 * **override lock-step** — every ``Tokenizer`` subclass that re-chunks
-  states (``ReferenceTokenizer``, ``BytesTokenizer``) must define
-  exactly the declared state set: the static twin of the tier-1
-  ``BYTES_OVERRIDES == REFERENCE_OVERRIDES == set(CHUNK_BREAK_SETS)``
-  assertion;
-* **bytes handlers handle their breaks** — run-pattern reference and
-  break-character coverage run against the bytes handlers too, with
-  byte-literal (``b"<"``) and small-int (``0x3C``) spellings counted as
-  handling the corresponding character.
+  states (``BytesTokenizer``) must define exactly the declared state set:
+  the static twin of the tier-1 ``BYTES_OVERRIDES ==
+  set(CHUNK_BREAK_SETS)`` assertion;
+* **bytes handlers handle their breaks** — each bytes handler references
+  its own run pattern (or ``_MASTER``), and each character of its
+  declared break set appears in a string literal inside the handler, a
+  helper method it calls on ``self``, or a module string constant those
+  bodies reference, with byte-literal (``b"<"``) and small-int
+  (``0x3C``) spellings counted as handling the corresponding character.
+  Widening a break set without adding the branch for the new delimiter
+  is a lint error: the run pattern would stop at a character the state
+  then silently drops.
 
 Limitations (documented, suppressible): classes with explicit base
 classes are skipped by the unreachable/dangling checks — their handlers
 may be referenced by (or inherited from) a base defined in another
-module, which a single-file AST pass cannot resolve.  The
-``ReferenceTokenizer`` per-character twin and ``BytesTokenizer`` are the
-such classes today; their lock-step with the fast path is enforced here
-structurally and at runtime by the tier-1 equivalence test
-(``REFERENCE_OVERRIDES == set(CHUNK_BREAK_SETS)``) plus the
-``fastpath`` / ``bytes_parity`` fuzz oracles.  Break-character coverage
-is lexical: an integer constant below 128 in a handler body counts as
-handling ``chr(value)`` even when it is used for something else.
+module, which a single-file AST pass cannot resolve.  ``BytesTokenizer``
+is such a class; its lock-step with the reference is enforced here
+structurally and at runtime by the tier-1 equivalence test plus the
+``bytes_parity`` fuzz oracle.  Break-character coverage is lexical: an
+integer constant below 128 in a handler body counts as handling
+``chr(value)`` even when it is used for something else.
 """
 from __future__ import annotations
 
@@ -100,11 +86,10 @@ HANDLER_PATTERNS: tuple[re.Pattern[str], ...] = (
 #: a class is treated as a state machine once it has this many handlers
 MIN_HANDLERS = 3
 
-#: the tokenizer's chunked-state declaration and its pattern factory
+#: the tokenizer's chunked-state declaration
 BREAK_SETS_NAME = "CHUNK_BREAK_SETS"
-SCANNER_NAME = "_scanner"
 
-#: the bytes-domain twin factory and the combined data-state pattern
+#: the bytes-domain pattern factory and the combined data-state pattern
 BYTES_SCANNER_NAME = "_bytes_scanner"
 MASTER_NAME = "_MASTER"
 
@@ -158,11 +143,11 @@ class StateMachinePass(LintPass):
     name = "Parser state-machine exhaustiveness"
     description = (
         "tokenizer/tree-builder handler tables have no unreachable "
-        "states, no dangling transitions, cover every declared content "
-        "model, and chunked fast-path states handle every declared "
-        "break character; bytes-domain run patterns derive from the same "
-        "CHUNK_BREAK_SETS declaration and the reference/bytes override "
-        "sets stay in lock-step with it"
+        "states, no dangling transitions and cover every declared content "
+        "model; bytes-domain run patterns derive from the "
+        "CHUNK_BREAK_SETS declaration, the bytes override set stays in "
+        "lock-step with it, and every chunked bytes state handles each "
+        "declared break character"
     )
 
     def __init__(self) -> None:
@@ -171,7 +156,7 @@ class StateMachinePass(LintPass):
         self._truth: tuple[SourceFile, dict[str, str], ast.Dict] | None = None
         #: modules compiling bytes run patterns, keyed by file.rel
         self._bytes_modules: list[dict] = []
-        #: Tokenizer subclasses that re-chunk states (reference + bytes)
+        #: Tokenizer subclasses that re-chunk states (the bytes scanner)
         self._twin_classes: list[dict] = []
 
     def select(self, file: SourceFile) -> bool:
@@ -199,40 +184,6 @@ class StateMachinePass(LintPass):
                 f"{BREAK_SETS_NAME} declares a break set for {state}, which "
                 "is not a defined state handler in this module",
                 fix_hint="remove the entry or define the handler",
-            )
-
-        compiled: set[str] = set()
-        for sub in ast.walk(node):
-            if not (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Name)
-                and sub.func.id == SCANNER_NAME
-            ):
-                continue
-            state = literal_str(sub.args[0]) if sub.args else None
-            if state is None:
-                self.report(
-                    file, sub,
-                    f"{SCANNER_NAME}(...) must be called with a literal "
-                    f"{BREAK_SETS_NAME} key",
-                    fix_hint="pass the state name as a string literal",
-                )
-                continue
-            if state not in break_sets:
-                self.report(
-                    file, sub,
-                    f"{SCANNER_NAME}({state!r}) compiles a run pattern for "
-                    f"a state with no {BREAK_SETS_NAME} entry",
-                    fix_hint=f"declare the state in {BREAK_SETS_NAME}",
-                )
-                continue
-            compiled.add(state)
-        for state in sorted(set(break_sets) - compiled):
-            self.report(
-                file, dict_node,
-                f"{BREAK_SETS_NAME} entry {state} is never compiled by "
-                f"{SCANNER_NAME}() (declared break set is unused)",
-                fix_hint="compile a run pattern from it or drop the entry",
             )
 
     # ------------------------------------------------------ bytes-domain twin
@@ -292,7 +243,7 @@ class StateMachinePass(LintPass):
             "file": file,
             "tree": node,
             "compiled": compiled,
-            "run_names": self._run_pattern_names(node, BYTES_SCANNER_NAME),
+            "run_names": self._run_pattern_names(node),
             "master_chars": master_chars,
             "master_node": master_node,
         })
@@ -418,7 +369,7 @@ class StateMachinePass(LintPass):
                             )
 
         # override lock-step: the static twin of the tier-1 assertion
-        # BYTES_OVERRIDES == REFERENCE_OVERRIDES == set(CHUNK_BREAK_SETS)
+        # BYTES_OVERRIDES == set(CHUNK_BREAK_SETS)
         for twin in self._twin_classes:
             class_name = twin["node"].name
             states: set[str] = twin["states"]
@@ -534,46 +485,6 @@ class StateMachinePass(LintPass):
                     )
 
         self._check_dispatch_dicts(file, node, methods)
-        self._check_break_sets(file, node, methods)
-
-    # ------------------------------------------------- chunked-state coverage
-
-    def _check_break_sets(
-        self,
-        file: SourceFile,
-        node: ast.ClassDef,
-        methods: dict[str, ast.AST],
-    ) -> None:
-        break_sets, _ = self._break_set_declaration(file.tree)
-        if not break_sets:
-            return
-        run_names = self._run_pattern_names(file.tree)
-        module_strings = self._module_string_constants(file.tree)
-        for state, breaks in sorted(break_sets.items()):
-            handler = methods.get(state)
-            if handler is None:
-                continue  # declared-but-undefined is reported at module level
-            reachable = self._reachable_strings(handler, methods, module_strings)
-            run_name = run_names.get(state)
-            if run_name is not None and run_name not in reachable.names:
-                self.report(
-                    file, handler,
-                    f"chunked state {node.name}.{state} never references its "
-                    f"run pattern {run_name} (scans with the wrong pattern "
-                    "or not at all)",
-                    fix_hint=f"scan with {run_name} or undeclare the state",
-                )
-            handled = "".join(reachable.strings)
-            for char in breaks:
-                if char not in handled:
-                    self.report(
-                        file, handler,
-                        f"chunked state {node.name}.{state} declares break "
-                        f"character {_printable(char)} but no reachable "
-                        "branch handles it (silently dropped delimiter)",
-                        fix_hint="add the per-character branch or narrow "
-                        f"the {BREAK_SETS_NAME} entry",
-                    )
 
     class _Reachable:
         __slots__ = ("strings", "names")
@@ -629,12 +540,10 @@ class StateMachinePass(LintPass):
         return reachable
 
     @staticmethod
-    def _run_pattern_names(
-        tree: ast.Module, scanner_name: str = SCANNER_NAME
-    ) -> dict[str, str]:
+    def _run_pattern_names(tree: ast.Module) -> dict[str, str]:
         """Map declared state -> module constant holding its run pattern
-        (``_RUN_DATA = _scanner("_data_state")`` -> ``{"_data_state":
-        "_RUN_DATA"}``)."""
+        (``_RUN_RCDATA_B = _bytes_scanner("_rcdata_state")`` ->
+        ``{"_rcdata_state": "_RUN_RCDATA_B"}``)."""
         names: dict[str, str] = {}
         for statement in tree.body:
             if not isinstance(statement, ast.Assign):
@@ -643,7 +552,7 @@ class StateMachinePass(LintPass):
             if not (
                 isinstance(value, ast.Call)
                 and isinstance(value.func, ast.Name)
-                and value.func.id == scanner_name
+                and value.func.id == BYTES_SCANNER_NAME
                 and value.args
             ):
                 continue

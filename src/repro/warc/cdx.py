@@ -12,7 +12,8 @@ Two index implementations share one contract:
 * :class:`CDXIndex` — the reference: eagerly parses every line into
   :class:`CDXEntry` objects and answers queries by linear scan.  Simple
   enough to be obviously correct, and kept for exactly that reason (the
-  same role ``reference_tokenizer`` plays for the chunked tokenizer).
+  same role the per-character ``Tokenizer`` base plays for the bytes
+  scanner).
 * :class:`MMapCDXIndex` — the production index: memory-maps the file,
   scans newline offsets once, and binary-searches the sorted urlkey space
   with lazily-decoded keys.  Entries are parsed on demand, so opening is

@@ -7,7 +7,7 @@ replay every regression-corpus entry and every synthetic Common Crawl
 template page (clean and violation-injected) through both engines and
 assert **bit-identical findings** — same objects, same order.  Findings
 are the study's measurement, so any divergence here is a measurement bug,
-exactly like a tokenizer fast-path divergence.
+exactly like a bytes-scanner divergence from the reference tokenizer.
 
 Unit tests for the compiler (footprint validation, unfused fallback,
 failure attribution) ride along.

@@ -1,9 +1,9 @@
 """Bytes-domain tokenizer: lazy materialization and decode accounting.
 
 The equivalence suite (``test_tokenizer_equivalence``) proves the bytes
-scanner emits the same tokens and errors as the str paths; this file pins
-the properties that make it *worth having*: character data and attributes
-stay un-decoded until read, the ``decoded_bytes`` counter is honest about
+scanner emits the same tokens and errors as the per-character reference;
+this file pins the properties that make it *worth having*: character data
+and attributes stay un-decoded until read, the ``decoded_bytes`` counter is honest about
 it, and the invalid-UTF-8 contract holds token-by-token (not only when
 fully drained).
 """

@@ -72,6 +72,14 @@ class TestTextContexts:
         text = "".join(node.data for node in nodes if hasattr(node, "data"))
         assert text == "a & b"
 
+    def test_plaintext_context_never_ends(self):
+        # PLAINTEXT has no end tag and no references: everything is text
+        source = "<b>x</b> &amp; </plaintext>"
+        nodes, _result = parse_fragment(source, "plaintext")
+        assert names(nodes) == []
+        text = "".join(node.data for node in nodes if hasattr(node, "data"))
+        assert text == source
+
 
 class TestFragmentRoundTrip:
     @pytest.mark.parametrize(

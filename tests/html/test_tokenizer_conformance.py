@@ -3,13 +3,16 @@
 Each case is (input, expected token summary); summaries use a compact
 notation: ``("StartTag", name, {attrs})``, ``("EndTag", name)``,
 ``("Character", data)``, ``("Comment", data)``, ``("DOCTYPE", name)``.
-Adjacent character tokens are merged before comparison.
+Adjacent character tokens are merged before comparison.  Every case runs
+through both scanners: the per-character reference ``tokenize`` and the
+bytes scanner that parsing runs, so the production path is checked against
+the expected tokens directly, not only through parity with the reference.
 """
 from __future__ import annotations
 
 import pytest
 
-from repro.html import tokenize
+from repro.html import tokenize, tokenize_bytes
 from repro.html.tokens import (
     EOF,
     Character,
@@ -20,8 +23,7 @@ from repro.html.tokens import (
 )
 
 
-def summarize(text):
-    tokens, _errors = tokenize(text)
+def summarize(tokens):
     out = []
     for token in tokens:
         if isinstance(token, StartTag):
@@ -113,6 +115,18 @@ CASES = [
 ]
 
 
-@pytest.mark.parametrize("text,expected", CASES, ids=[c[0][:30] for c in CASES])
+conformance_cases = pytest.mark.parametrize(
+    "text,expected", CASES, ids=[c[0][:30] for c in CASES]
+)
+
+
+@conformance_cases
 def test_tokenizer_conformance(text, expected):
-    assert summarize(text) == expected
+    tokens, _errors = tokenize(text)
+    assert summarize(tokens) == expected
+
+
+@conformance_cases
+def test_tokenizer_conformance_bytes(text, expected):
+    tokens, _errors = tokenize_bytes(text.encode("utf-8"))
+    assert summarize(tokens) == expected

@@ -1,20 +1,20 @@
-"""Tier-1 equivalence: bytes scanner vs chunked fast path vs reference.
+"""Tier-1 equivalence: the bytes scanner vs the per-character reference.
 
-The tokenizer's hot states bulk-scan to the next delimiter
-(``CHUNK_BREAK_SETS`` in :mod:`repro.html.tokenizer`);
-:class:`repro.html.reference_tokenizer.ReferenceTokenizer` retains the
-spec-literal one-character-at-a-time loops for exactly those states; and
-:class:`repro.html.bytes_tokenizer.BytesTokenizer` runs the same state
-machine decode-free over raw UTF-8 bytes with lazy text materialization.
-These tests replay every regression-corpus entry and every synthetic
-Common Crawl template page (clean and violation-injected) through all
-three scanners and assert the **identical token stream and identical
-parse-error sequence** — the errors are the study's violation signal, so
-any divergence here is a measurement bug.
+:class:`repro.html.bytes_tokenizer.BytesTokenizer` bulk-scans the states
+declared in ``CHUNK_BREAK_SETS`` (:mod:`repro.html.tokenizer`) over raw
+UTF-8 bytes with lazy text materialization; its base class
+:class:`repro.html.tokenizer.Tokenizer` is the spec-literal reference that
+consumes one character per step.  These tests replay every
+regression-corpus entry and every synthetic Common Crawl template page
+(clean and violation-injected) through both and assert the **identical
+token stream and identical parse-error sequence** — the errors are the
+study's violation signal, so any divergence here is a measurement bug.
 
-The bytes path is compared against the str path over
-``preprocess(text).text``, because the bytes tokenizer folds the input
-preprocessor (BOM strip, CR/CRLF → LF) into its scan.
+The bytes scanner is compared against the reference over
+``preprocess(text).text``, because it folds the input preprocessor (BOM
+strip, CR/CRLF → LF) into its scan.  Str callers reach the bytes scanner
+through ``parse``/``parse_fragment``, which encode to UTF-8 at that
+boundary; ``TestStrBoundary`` holds them to the reference as well.
 """
 from __future__ import annotations
 
@@ -23,41 +23,34 @@ import unittest
 from pathlib import Path
 
 from repro.commoncrawl.templates import INJECTORS, build_page
+from repro.core import Checker
 from repro.fuzz import load_corpus
-from repro.html import decode_bytes, preprocess
+from repro.html import decode_bytes, parse, parse_fragment, preprocess
 from repro.html.bytes_tokenizer import BYTES_OVERRIDES, BytesTokenizer
-from repro.html.reference_tokenizer import (
+from repro.html.preprocessor import encode_text
+from repro.html.tokenizer import (
     CHUNK_BREAK_SETS,
-    REFERENCE_OVERRIDES,
-    reference_tokenize,
+    PLAINTEXT,
+    RAWTEXT,
+    RCDATA,
+    SCRIPT_DATA,
+    Tokenizer,
 )
-from repro.html.tokenizer import Tokenizer
+from repro.html.tokens import Character
+from repro.html.treebuilder import TreeBuilder
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "fuzz_corpus"
 
 
-def fast_tokenize(text: str) -> tuple[list, list]:
-    tokenizer = Tokenizer(text)
-    return list(tokenizer), tokenizer.errors
-
-
 def assert_equivalent(test: unittest.TestCase, text: str, source: str) -> None:
-    """Three-way: str fast path vs reference, and bytes vs str."""
-    fast_tokens, fast_errors = fast_tokenize(text)
-    ref_tokens, ref_errors = reference_tokenize(text)
-    test.assertEqual(
-        fast_tokens, ref_tokens, f"token stream diverged on {source}"
-    )
-    test.assertEqual(
-        fast_errors, ref_errors, f"parse-error sequence diverged on {source}"
-    )
+    """The bytes scanner over ``text``'s UTF-8 matches the reference."""
     assert_bytes_equivalent(test, text.encode("utf-8"), source)
 
 
 def assert_bytes_equivalent(
     test: unittest.TestCase, data: bytes, source: str
 ) -> None:
-    """The bytes scanner matches decode + preprocess + str tokenization.
+    """The bytes scanner matches decode + preprocess + the reference.
 
     Token equality goes through ``Token.__eq__``, which materializes lazy
     character data and lazy attributes — so this also proves the lazy
@@ -66,40 +59,41 @@ def assert_bytes_equivalent(
     text = decode_bytes(data)
     test.assertIsNotNone(text, f"expected UTF-8 input for {source}")
     clean = preprocess(text).text
-    str_tokenizer = Tokenizer(clean)
-    str_tokens = list(str_tokenizer)
+    reference = Tokenizer(clean)
+    reference_tokens = list(reference)
     bytes_tokenizer = BytesTokenizer(data)
     bytes_tokens = list(bytes_tokenizer)
     test.assertEqual(
-        bytes_tokens, str_tokens, f"bytes token stream diverged on {source}"
+        bytes_tokens,
+        reference_tokens,
+        f"bytes token stream diverged on {source}",
     )
     test.assertEqual(
         bytes_tokenizer.errors,
-        str_tokenizer.errors,
+        reference.errors,
         f"bytes parse-error sequence diverged on {source}",
     )
 
 
 class TestScannerLockstep(unittest.TestCase):
-    """The three scanners must stay structurally in sync."""
+    """The bytes scanner must stay structurally in sync with the reference."""
 
     def test_every_chunked_state_has_a_reference_twin(self):
-        # A newly chunked state cannot ship without its per-character twin,
-        # and a stale override (for a state no longer chunked) is equally
-        # a bug: it would silently stop being compared.
-        self.assertEqual(REFERENCE_OVERRIDES, frozenset(CHUNK_BREAK_SETS))
+        # the per-character original of every chunked state is defined on
+        # the reference base class itself, so no override lacks a twin
+        for state in CHUNK_BREAK_SETS:
+            self.assertIn(state, vars(Tokenizer), state)
 
     def test_every_chunked_state_has_a_bytes_twin(self):
-        # The bytes tokenizer must re-chunk exactly the states the str
-        # fast path chunks: a missing override silently falls back to the
-        # inherited per-character loop (a perf bug), an extra one chunks a
-        # state with no reference twin (an unverified state).
+        # The bytes tokenizer must re-chunk exactly the declared states: a
+        # missing override silently falls back to the inherited
+        # per-character loop (a perf bug), an extra one chunks a state
+        # with no declared break set (an unverified state).
         self.assertEqual(BYTES_OVERRIDES, frozenset(CHUNK_BREAK_SETS))
-        self.assertEqual(BYTES_OVERRIDES, REFERENCE_OVERRIDES)
 
 
 class TestCorpusEquivalence(unittest.TestCase):
-    """Every regression-corpus entry tokenizes identically on both paths."""
+    """Every regression-corpus entry tokenizes identically on both scanners."""
 
     def test_corpus_entries(self):
         entries = load_corpus(CORPUS_DIR)
@@ -118,7 +112,7 @@ class TestCorpusEquivalence(unittest.TestCase):
 
 
 class TestTemplateEquivalence(unittest.TestCase):
-    """Every synthetic study page tokenizes identically on both paths."""
+    """Every synthetic study page tokenizes identically on both scanners."""
 
     def test_clean_pages(self):
         rng = random.Random(1302)
@@ -152,7 +146,7 @@ class TestTemplateEquivalence(unittest.TestCase):
             )
 
     def test_plaintext_and_script_escape_content(self):
-        # the content-model states the fast path chunks hardest
+        # the content-model states the bytes scanner chunks hardest
         cases = [
             "<plaintext>never closed &amp; <b>not markup</b>\x00 tail",
             "<script><!-- if (a<b) { c-- } --></script>",
@@ -193,7 +187,7 @@ class TestBytesDomainEquivalence(unittest.TestCase):
 
     def test_bom_and_crlf_byte_forms(self):
         # BOM stripping and newline normalization are folded into the
-        # bytes scan; the str path does them in decode_bytes/preprocess
+        # bytes scan; the reference gets them from decode_bytes/preprocess
         cases = [
             b"\xef\xbb\xbf<!doctype html><p>bom page</p>",
             b"\xef\xbb\xbf\r\n<html>\r\nbom + crlf\r</html>\r\n",
@@ -222,7 +216,7 @@ class TestBytesDomainEquivalence(unittest.TestCase):
         # the section 4.1 encoding filter: an undecodable page must
         # surface as UnicodeDecodeError from the scan, never as garbage
         # tokens — including truncated multi-byte sequences at EOF, where
-        # the str path never even gets a string to compare against
+        # the reference never even gets a string to compare against
         cases = [
             b"truncated two-byte tail \xc3",
             b"truncated three-byte tail \xe6\xbc",
@@ -239,6 +233,70 @@ class TestBytesDomainEquivalence(unittest.TestCase):
             with self.assertRaises(UnicodeDecodeError, msg=repr(case)):
                 for _ in BytesTokenizer(case):
                     pass
+
+
+def usv(text: str) -> str:
+    """WebIDL's USVString conversion: U+FFFD for each surrogate code point."""
+    return "".join("\ufffd" if "\ud800" <= c <= "\udfff" else c for c in text)
+
+
+class TestStrBoundary(unittest.TestCase):
+    """``parse``/``parse_fragment`` encode str input and run the bytes
+    scanner; tokens, errors and offsets must equal the reference over
+    ``preprocess(text).text`` after the U+FFFD substitution."""
+
+    def test_document_inputs(self):
+        cases = [
+            "\ufeff<!doctype html><p>bom page</p>",
+            "\ufeff\ufeff<p>double bom: second survives</p>",
+            "\ufeff",
+            "line one\r\nline two\rline three\r\r\n<pre>\r\n\r</pre>\r",
+            "<textarea>\r\nrcdata</textarea><a href='x\ry'>\r</a>",
+            "data \x00 nul<p\x00>in tag</p><a b='\x00'>attr</a>",
+            "<script>\x00</script><title>\x00</title><plaintext>\x00",
+            "<p>x\udc00y</p>",
+            "\ud800<a title='\udbff\udfff'>\udfff</a><!-- \ud800 -->",
+            "<script>'\ud83d\ude00'</script><style>\udc00</style>",
+        ]
+        for text in cases:
+            clean = preprocess(usv(text)).text
+            expected = TreeBuilder()._run(Tokenizer(clean), clean)
+            got = parse(text)
+            self.assertEqual(got.tokens, expected.tokens, repr(text))
+            self.assertEqual(got.errors, expected.errors, repr(text))
+            self.assertEqual(got.source, clean, repr(text))
+
+    def test_fragment_content_models(self):
+        # one context per text content model: the tree builder never
+        # switches the tokenizer out of it, so the whole token stream is
+        # the reference tokenizer's, started in that state
+        cases = [
+            ("title", RCDATA, "rcdata &amp; <b>x</b>\r\n\x00\udc00</title>"),
+            ("textarea", RCDATA, "\ufeff&notin; <p>\r</textarea>"),
+            ("style", RAWTEXT, "a { content: '</style>' }\x00\r\ud800"),
+            ("script", SCRIPT_DATA, "<!-- <script>x</script> -->\x00\udfff"),
+            ("plaintext", PLAINTEXT, "<b>never</b> closed &amp; \x00\r\n"),
+        ]
+        for context, model, text in cases:
+            _nodes, result = parse_fragment(text, context)
+            reference = Tokenizer(preprocess(usv(text)).text)
+            reference.switch_to(model)
+            self.assertEqual(result.tokens, list(reference), context)
+            self.assertEqual(result.errors, reference.errors, context)
+
+    def test_lone_surrogate_rule(self):
+        # a lone surrogate has no UTF-8 encoding; it becomes U+FFFD, one
+        # code point for one, so offsets still index the caller's text
+        text = "<p>x\udc00y</p>"
+        self.assertEqual(encode_text(text), "<p>x\ufffdy</p>".encode("utf-8"))
+        result = parse(text)
+        [run] = [t for t in result.tokens if isinstance(t, Character)]
+        self.assertEqual((run.offset, run.data), (3, "x\ufffdy"))
+        checker = Checker()
+        self.assertEqual(
+            checker.check_html(text).findings,
+            checker.check_html(usv(text)).findings,
+        )
 
 
 if __name__ == "__main__":

@@ -158,12 +158,21 @@ class TestLineParsing:
         (b'{"html": 5}', "string"),
         (b'{"body_b64": "%%%"}', "base64"),
         (b'{"html": "a", "url": 7}', "url"),
+        (b'{"html": "<p>\\ud800</p>"}', "utf-8"),
     ])
     def test_malformed_lines_become_400(self, raw, detail):
         result = parse_batch_line(raw)
         assert not isinstance(result, tuple)
         assert result.status == 400
         assert detail.encode() in result.body.lower()
+
+    def test_lone_surrogate_line_fails_alone(self):
+        # valid JSON whose text UTF-8 cannot encode is this line's 400;
+        # its neighbours still get their 200s
+        lines = [line(GOOD), b'{"html": "<p>\\ud800</p>"}', line(DIRTY)]
+        response, out = run_batch(app(), lines)
+        assert response.status == 200
+        assert [json.loads(ln)["status"] for ln in out] == [200, 400, 200]
 
     def test_html_and_b64_roundtrip(self):
         assert parse_batch_line(line("abc", url="http://x/")) == (

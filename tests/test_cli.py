@@ -181,12 +181,12 @@ class TestBenchCommand:
         assert main(["bench", "--quick", "--no-rules",
                      "--label", "cli-test", "--output", str(out_path)]) == 0
         table = capsys.readouterr().out
-        assert "tokenizer_clean" in table and "pages/s" in table
+        assert "tokenizer_bytes_clean" in table and "pages/s" in table
         snapshot = json.loads(out_path.read_text())
         assert snapshot["schema"] == "repro-bench/1"
         assert snapshot["label"] == "cli-test"
         assert snapshot["rules"] == {}
-        case = snapshot["cases"]["tokenizer_dirty"]
+        case = snapshot["cases"]["tokenizer_bytes_dirty"]
         assert case["chars"] > 0 and case["tokens"] > 0
         assert case["best_seconds"] > 0
         assert case["chars_per_second"] == pytest.approx(
