@@ -99,4 +99,9 @@ echo "==> end-to-end benchmark smoke (unit tests + all four workloads)"
 python -m pytest benchmarks/e2e/tests -q
 python3 benchmarks/e2e/run.py --all --smoke
 
+echo "==> pinned corpora (two expected.json corpora rebuilt, input digests compared)"
+# the smoke's sizes are pinned nowhere, so a planner or archive-builder
+# change that alters a corpus is caught here; expected.json is only read
+python scripts/pinned_corpus_check.py
+
 echo "==> ci OK"

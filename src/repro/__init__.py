@@ -34,9 +34,22 @@ from .core import (
     measure_mitigations_html,
 )
 from .html import parse, parse_fragment, serialize
-from .study import Study, StudyConfig, run_study
 
 __version__ = "1.0.0"
+
+#: resolved on first access: the study driver loads the corpus planner
+#: (numpy, scipy.special), which the checker, ``serve``, ``check``, ``fix``
+#: and ``lint`` never need
+_STUDY_EXPORTS = frozenset({"Study", "StudyConfig", "run_study"})
+
+
+def __getattr__(name: str):
+    if name in _STUDY_EXPORTS:
+        from . import study
+
+        return getattr(study, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALL_IDS",

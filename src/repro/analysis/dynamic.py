@@ -16,8 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from scipy.stats import spearmanr
-
 from ..commoncrawl import calibration as cal
 from ..commoncrawl.fragmentgen import generate_domain_fragments
 from ..commoncrawl.tranco import generate_domain_pool
@@ -55,6 +53,8 @@ class DynamicPrestudy:
         Only violations observable in fragments are compared (head/body
         structure does not exist in a fragment).
         """
+        from scipy.stats import spearmanr  # scipy.stats costs ~1 s to import
+
         comparable = [
             violation
             for violation in ALL_IDS

@@ -18,8 +18,6 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from scipy.stats import spearmanr
-
 from ..commoncrawl.corpusgen import build_injector_targets
 from ..commoncrawl.templates import INJECTORS, build_page
 from ..core import Checker
@@ -54,6 +52,8 @@ class GeneralizationComparison:
     @property
     def rank_correlation(self) -> float:
         """Spearman correlation of per-violation domain counts."""
+        from scipy.stats import spearmanr  # scipy.stats costs ~1 s to import
+
         popular = [self.popular.distribution.get(v, 0) for v in ALL_IDS]
         tail = [self.tail.distribution.get(v, 0) for v in ALL_IDS]
         correlation, _p = spearmanr(popular, tail)

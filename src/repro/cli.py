@@ -24,24 +24,15 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .analysis import (
-    render_autofix,
-    render_dynamic,
-    render_element_usage,
-    render_figure8,
-    render_generalization,
-    render_group_trends,
-    render_mitigations,
-    render_table2,
-    render_trend,
-    run_dynamic_prestudy,
-    run_generalization_study,
-)
-from .analysis.longitudinal import APPENDIX_FIGURES
 from .core import Checker, DecodeFailure, autofix
-from .staticcheck import Severity, render_json, render_text, run_lint, write_baseline
-from .study import StudyConfig, run_study
+
+# The study, analysis and staticcheck modules are imported inside the
+# commands that use them: the study driver loads numpy and scipy, which
+# `serve`, `check`, `fix` and `lint` would otherwise pay for at start-up.
+if TYPE_CHECKING:
+    from .study import StudyConfig
 
 
 def _add_scale_args(parser: argparse.ArgumentParser) -> None:
@@ -77,6 +68,8 @@ def _add_scale_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _config(args: argparse.Namespace) -> StudyConfig:
+    from .study import StudyConfig
+
     years = None
     if args.years:
         years = tuple(int(part) for part in args.years.split(","))
@@ -93,6 +86,8 @@ def _config(args: argparse.Namespace) -> StudyConfig:
 
 
 def _run_from_args(args: argparse.Namespace):
+    from .study import run_study
+
     return run_study(
         _config(args),
         force=args.force,
@@ -103,6 +98,8 @@ def _run_from_args(args: argparse.Namespace):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from .analysis import render_table2
+
     study = _run_from_args(args)
     print(f"study complete: archive={study.archive_dir} db={study.db_path}")
     if study.manifest_path is not None and study.manifest_path.exists():
@@ -112,6 +109,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    from .analysis import (
+        render_autofix,
+        render_element_usage,
+        render_figure8,
+        render_group_trends,
+        render_mitigations,
+        render_table2,
+        render_trend,
+    )
+    from .analysis.longitudinal import APPENDIX_FIGURES
+
     study = _run_from_args(args)
     print(render_table2(study.table2()))
     print(render_figure8(study.figure8()))
@@ -155,6 +163,13 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 def cmd_dynamic(args: argparse.Namespace) -> int:
     """Section 5.1 pre-study over synthesized dynamic fragments."""
+    from .analysis import (
+        render_dynamic,
+        render_generalization,
+        run_dynamic_prestudy,
+        run_generalization_study,
+    )
+
     prestudy = run_dynamic_prestudy(
         num_domains=args.domains or 120, fragments_per_domain=args.fragments
     )
@@ -208,6 +223,13 @@ def cmd_lint(args: argparse.Namespace) -> int:
     """
     from dataclasses import replace
 
+    from .staticcheck import (
+        Severity,
+        render_json,
+        render_text,
+        run_lint,
+        write_baseline,
+    )
     from .staticcheck.reporter import render_stats, stale_baseline_findings
 
     if args.path is not None:

@@ -2,21 +2,10 @@
 synthetic web corpus, and a local Common-Crawl-compatible archive with the
 index/fetch client the pipeline consumes.
 """
+from importlib import import_module
+
 from . import calibration
 from .client import Collection, CommonCrawlClient
-from .corpusgen import (
-    CopulaLoadings,
-    CorpusConfig,
-    CorpusPlan,
-    CorpusPlanner,
-    InjectorTarget,
-    PageSpec,
-    build_injector_targets,
-    calibrate_loadings,
-    injector_cluster,
-    render_page,
-)
-from .snapshot import ArchiveBuilder, BuiltSnapshot, snapshot_name
 from .templates import INJECTORS, Injector, PageDraft, build_page
 from .tranco import (
     TrancoList,
@@ -27,6 +16,30 @@ from .tranco import (
     save_tranco_csv,
     synth_domain_name,
 )
+
+#: resolved on first access: the corpus planner imports numpy and
+#: scipy.special, and the pipeline's client and the service need neither
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "CopulaLoadings", "CorpusConfig", "CorpusPlan", "CorpusPlanner",
+            "InjectorTarget", "PageSpec", "build_injector_targets",
+            "calibrate_loadings", "injector_cluster", "render_page",
+        ),
+        "corpusgen",
+    ),
+    **dict.fromkeys(
+        ("ArchiveBuilder", "BuiltSnapshot", "snapshot_name"), "snapshot"
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "ArchiveBuilder",

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr, ndtri
 
 from . import calibration as cal
 from .templates import INJECTORS, build_page
@@ -147,6 +147,13 @@ def calibrate_loadings(
     after the automated repair), and the fixable-cluster loading against
     the FB/DM union that Figure 9 implies once the HF/DE union is fixed:
     ``F_y = 1 - (1 - any_y) / (1 - M_y)`` under cluster independence.
+
+    ``Phi`` and ``Phi^-1`` are ``scipy.special.ndtr`` and ``ndtri``, the
+    kernels ``scipy.stats.norm`` evaluates after its argument handling.
+    The loadings are part of the corpus (every planned violation and
+    ``ground_truth.json`` depend on them), so this arithmetic is pinned
+    to the last bit: a new kernel, reduction order or array layout must
+    reproduce the pinned loadings in tests/commoncrawl/test_corpusgen.py.
     """
     rng = np.random.default_rng(seed)
     z = rng.standard_normal(samples)          # trait factor
@@ -155,7 +162,7 @@ def calibrate_loadings(
     manual_mask = np.array(
         [injector_cluster(name) == "manual" for name in names]
     )
-    thresholds = norm.ppf(
+    thresholds = ndtri(
         np.clip(np.array([targets[name].union for name in names]), 1e-9, 1 - 1e-9)
     )
     conditionals = np.array(
@@ -164,23 +171,26 @@ def calibrate_loadings(
             for index in range(len(cal.YEARS))
         ]
     )  # (years, injectors)
-    act_thresholds = norm.ppf(np.clip(conditionals, 1e-9, 1 - 1e-9))
+    act_thresholds = ndtri(np.clip(conditionals, 1e-9, 1 - 1e-9))
 
     def trait_probs(rho: float, mask: np.ndarray) -> np.ndarray:
+        """P(trait | z) per sample and cluster injector; year-independent."""
         denom = np.sqrt(max(1e-12, 1.0 - rho * rho))
-        return norm.cdf((thresholds[mask][None, :] - rho * z[:, None]) / denom)
+        return ndtr((thresholds[mask][None, :] - rho * z[:, None]) / denom)
 
-    def union_rate(rho: float, mask: np.ndarray, year_index: int) -> float:
+    def union_rate(
+        rho: float, mask: np.ndarray, traits: np.ndarray, year_index: int
+    ) -> float:
         """P(any cluster injector active in the year) under loading rho.
 
         The loading applies at both levels — trait (is this domain the kind
         that makes this mistake?) and year activation (did it show this
         year?) — because the paper's per-year any-violation rate is far
-        below what independent yearly flicker would produce.
+        below what independent yearly flicker would produce.  ``traits``
+        is ``trait_probs(rho, mask)``, computed once per loading.
         """
         denom = np.sqrt(max(1e-12, 1.0 - rho * rho))
-        traits = trait_probs(rho, mask)
-        activations = norm.cdf(
+        activations = ndtr(
             (act_thresholds[year_index][mask][None, :] - rho * w[:, None]) / denom
         )
         keep = np.prod(1.0 - traits * activations, axis=1)
@@ -204,14 +214,20 @@ def calibrate_loadings(
         2022
     ].succeeded
     rho_manual = bisect(
-        lambda rho: union_rate(rho, manual_mask, year_2022), manual_goal
+        lambda rho: union_rate(
+            rho, manual_mask, trait_probs(rho, manual_mask), year_2022
+        ),
+        manual_goal,
     )
 
     # 2. fixable cluster vs the FB/DM union implied by Figure 9 under
     # cluster independence: F_y = 1 - (1 - any_y) / (1 - M_y).
     fixable_mask = ~manual_mask
     year_range = range(len(cal.YEARS))
-    manual_unions = [union_rate(rho_manual, manual_mask, i) for i in year_range]
+    manual_traits = trait_probs(rho_manual, manual_mask)
+    manual_unions = [
+        union_rate(rho_manual, manual_mask, manual_traits, i) for i in year_range
+    ]
     implied = []
     for index, year in enumerate(cal.YEARS):
         goal_any = cal.OVERALL_VIOLATING[year]
@@ -222,8 +238,11 @@ def calibrate_loadings(
     fixable_goal = float(np.mean(implied))
 
     def fixable_mean(rho: float) -> float:
+        traits = trait_probs(rho, fixable_mask)
         return float(
-            np.mean([union_rate(rho, fixable_mask, i) for i in year_range])
+            np.mean(
+                [union_rate(rho, fixable_mask, traits, i) for i in year_range]
+            )
         )
 
     rho_fixable = bisect(fixable_mean, fixable_goal)
@@ -378,7 +397,7 @@ class CorpusPlanner:
             for name in names
         }
         thresholds = {
-            name: float(norm.ppf(np.clip(self.targets[name].union, 1e-9, 1 - 1e-9)))
+            name: float(ndtri(np.clip(self.targets[name].union, 1e-9, 1 - 1e-9)))
             for name in names
         }
 
@@ -388,7 +407,7 @@ class CorpusPlanner:
                 return False
             if probability >= 1.0:
                 return True
-            threshold = float(norm.ppf(probability))
+            threshold = float(ndtri(probability))
             return loadings.of(name) * factor + denoms[name] * noise < threshold
 
         for domain, _rank in plan.domains:

@@ -16,6 +16,7 @@ that the measurement pipeline recovers the injected rates.
 from __future__ import annotations
 
 import json
+import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -68,6 +69,7 @@ class ArchiveBuilder:
         built = []
         for year in plan.config.years:
             built.append(self._build_snapshot(plan, year))
+        self._write_ground_truth(plan)
         collinfo = [
             {
                 "id": snapshot.name,
@@ -78,8 +80,13 @@ class ArchiveBuilder:
             }
             for snapshot in built
         ]
-        (self.root / "collinfo.json").write_text(json.dumps(collinfo, indent=2))
-        self._write_ground_truth(plan)
+        # collinfo.json marks the archive complete (build_archive checks
+        # it), so it goes last and whole: a build interrupted anywhere
+        # before os.replace leaves no marker, and the next one starts over.
+        marker = self.root / "collinfo.json"
+        partial = marker.with_name(marker.name + ".partial")
+        partial.write_text(json.dumps(collinfo, indent=2))
+        os.replace(partial, marker)
         return built
 
     def _build_snapshot(self, plan: CorpusPlan, year: int) -> BuiltSnapshot:
@@ -123,6 +130,14 @@ class ArchiveBuilder:
                 part_index += 1
                 open_part()
             offset, length = writer.write_record(record)
+            # A response carries its payload digest as a header.  A
+            # revisit's header names the original's digest, but its CDX
+            # line has always held the digest of its own empty body.
+            digest = (
+                record.payload_digest
+                if record.is_revisit
+                else record.headers["WARC-Payload-Digest"]
+            )
             cdx.add(
                 CDXEntry(
                     urlkey=surt(url),
@@ -130,7 +145,7 @@ class ArchiveBuilder:
                     url=url,
                     mime=mime,
                     status=status,
-                    digest=record.payload_digest,
+                    digest=digest,
                     length=length,
                     offset=offset,
                     filename=parts[-1],
@@ -149,7 +164,9 @@ class ArchiveBuilder:
                     mime = "text/html" if spec.html else "application/json"
                     write(record, spec.url, mime, 200)
                     if first_capture is None and spec.html and spec.utf8:
-                        first_capture = (spec.url, date, record.payload_digest)
+                        first_capture = (
+                            spec.url, date, record.headers["WARC-Payload-Digest"]
+                        )
                 # A small share of domains gets a deduplicated repeat
                 # capture, as Common Crawl stores identical content.
                 if first_capture is not None and random.Random(

@@ -150,7 +150,7 @@ class WARCRecord:
         response = HTTPResponse(status_code, "OK" if status_code == 200 else "",
                                 http_headers, payload)
         block = response.to_bytes()
-        record = cls(
+        return cls(
             headers={
                 "WARC-Type": "response",
                 "WARC-Record-ID": f"<urn:uuid:{uuid.uuid4()}>",
@@ -158,11 +158,12 @@ class WARCRecord:
                 "WARC-Target-URI": url,
                 "Content-Type": "application/http; msgtype=response",
                 "Content-Length": str(len(block)),
+                # the payload is the HTTP body just wrapped: hash it
+                # directly rather than re-parse the block
+                "WARC-Payload-Digest": "sha1:" + hashlib.sha1(payload).hexdigest(),
             },
             content=block,
         )
-        record.headers["WARC-Payload-Digest"] = record.payload_digest
-        return record
 
     @property
     def is_revisit(self) -> bool:

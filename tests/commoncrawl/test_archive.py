@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,7 +13,9 @@ from repro.commoncrawl import (
     CorpusPlanner,
     snapshot_name,
 )
+from repro.commoncrawl import snapshot as snapshot_module
 from repro.html import decode_bytes
+from repro.study import StudyConfig, build_archive, run_study
 
 
 @pytest.fixture(scope="module")
@@ -129,3 +132,49 @@ class TestClient:
             for entry in client.query(snapshot_name(2022), domain, mime=None):
                 mimes.add(entry.mime)
         assert "text/html" in mimes
+
+
+class TestInterruptedBuild:
+    """collinfo.json is build_archive's completion marker: an interrupted
+    build must not leave it behind, or the half-built archive is reused."""
+
+    CONFIG = StudyConfig(num_domains=4, max_pages=2, seed=7, years=(2021, 2022))
+
+    def test_failed_ground_truth_write_is_rebuilt(self, tmp_path, monkeypatch):
+        write_ground_truth = ArchiveBuilder._write_ground_truth
+        failures = []
+
+        def fail_once(self, plan):
+            if not failures:
+                failures.append(plan)
+                raise OSError("disk full")
+            write_ground_truth(self, plan)
+
+        monkeypatch.setattr(ArchiveBuilder, "_write_ground_truth", fail_once)
+        with pytest.raises(OSError, match="disk full"):
+            build_archive(self.CONFIG, tmp_path)
+        archive = build_archive(self.CONFIG, tmp_path)
+        truth = json.loads((archive / "ground_truth.json").read_text())
+        assert truth["seed"] == 7
+        study = run_study(self.CONFIG, cache_dir=tmp_path)
+        try:
+            assert study.table2().rows
+        finally:
+            study.close()
+
+    def test_marker_written_last_and_whole(self, tmp_path, monkeypatch):
+        def interrupted(source, target):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr(
+            snapshot_module, "os", SimpleNamespace(replace=interrupted)
+        )
+        with pytest.raises(OSError, match="killed"):
+            build_archive(self.CONFIG, tmp_path)
+        archive = tmp_path / f"archive-{self.CONFIG.key()}"
+        assert (archive / "ground_truth.json").exists()
+        assert not (archive / "collinfo.json").exists()
+        monkeypatch.undo()
+        build_archive(self.CONFIG, tmp_path)
+        assert json.loads((archive / "collinfo.json").read_text())
+        assert not list(archive.glob("*.partial"))

@@ -7,6 +7,7 @@ import pytest
 
 from repro.commoncrawl import calibration as cal
 from repro.commoncrawl.corpusgen import (
+    CopulaLoadings,
     CorpusConfig,
     CorpusPlanner,
     build_injector_targets,
@@ -65,6 +66,25 @@ class TestCalibration:
         a = calibrate_loadings(targets, samples=4000, seed=5)
         b = calibrate_loadings(targets, samples=4000, seed=5)
         assert a == b
+
+    @pytest.mark.parametrize(
+        ("seed", "fixable", "manual"),
+        [
+            # repro-study run's default seed
+            (42, 0.9843358391523361, 0.32016122162342076),
+            # the first corpus of the e2e benchmark's study-full workload
+            (1100, 0.9839909118413924, 0.3203479188680649),
+        ],
+    )
+    def test_production_loadings_pinned(self, seed, fixable, manual):
+        """The 20,000-sample fit, to the last bit.
+
+        The loadings decide every planned violation and are written to
+        ground_truth.json, so any change to the fit's arithmetic, however
+        small, changes the corpus.
+        """
+        loadings = calibrate_loadings(build_injector_targets(), seed=seed)
+        assert loadings == CopulaLoadings(fixable=fixable, manual=manual)
 
 
 class TestPlan:

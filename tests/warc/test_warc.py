@@ -47,6 +47,16 @@ class TestRecord:
         assert a.payload_digest == b.payload_digest
         assert a.payload_digest.startswith("sha1:")
 
+    @given(st.binary(max_size=300), st.sampled_from([200, 404, 503]))
+    @settings(max_examples=50, deadline=None)
+    def test_digest_header_matches_parsed_payload(self, payload, status):
+        """response() hashes the body it wraps; re-parsing the block agrees."""
+        record = WARCRecord.response(
+            "http://example.com/", payload, "2015-03-20T10:00:00Z",
+            status_code=status,
+        )
+        assert record.headers["WARC-Payload-Digest"] == record.payload_digest
+
     def test_http_response_parse(self):
         response = parse_http_response(
             b"HTTP/1.1 404 Not Found\r\nContent-Type: text/html\r\n\r\nmissing"
