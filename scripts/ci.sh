@@ -99,6 +99,11 @@ echo "==> end-to-end benchmark smoke (unit tests + all four workloads)"
 python -m pytest benchmarks/e2e/tests -q
 python3 benchmarks/e2e/run.py --all --smoke
 
+echo "==> traced end-to-end smoke (every entry point layers.py names still exists)"
+# a traced run wraps each name benchmarks/e2e/layers.py lists and fails
+# when one is gone or renamed; the untraced smoke above never looks
+python3 benchmarks/e2e/run.py --all --smoke --trace 1
+
 echo "==> pinned corpora (two expected.json corpora rebuilt, input digests compared)"
 # the smoke's sizes are pinned nowhere, so a planner or archive-builder
 # change that alters a corpus is caught here; expected.json is only read

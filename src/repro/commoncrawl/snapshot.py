@@ -20,10 +20,15 @@ import os
 import random
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from ..warc import CDXEntry, CDXWriter, WARCRecord, WARCWriter, surt
 from . import calibration as cal
-from .corpusgen import CorpusPlan, PageSpec, render_page
+
+if TYPE_CHECKING:
+    # the planner loads numpy and scipy; the naming helpers here do not
+    # need it (the fuzz harness imports them)
+    from .corpusgen import CorpusPlan, PageSpec
 
 #: max records per WARC part file (keeps parts small, exercises multi-part)
 RECORDS_PER_PART = 2000
@@ -227,6 +232,8 @@ class ArchiveBuilder:
 
 
 def _record_for(spec: PageSpec, date: str, seed: int) -> WARCRecord:
+    from .corpusgen import render_page
+
     payload = render_page(spec, seed)
     if spec.html:
         charset = "UTF-8" if spec.utf8 else "ISO-8859-1"

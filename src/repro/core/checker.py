@@ -191,8 +191,15 @@ class Checker:
         report.findings.extend(fused.run(result, attr_observer=collector))
         return report, collector.report
 
+    def _check_owned(self, result: ParseResult, url: str) -> CheckReport:
+        """Check a parse this checker made; free it unless it is kept."""
+        report = self.check_parse(result, url=url)
+        if not self.keep_parse:
+            result.release()
+        return report
+
     def check_html(self, text: str, url: str = "") -> CheckReport:
-        return self.check_parse(parse(text), url=url)
+        return self._check_owned(parse(text), url)
 
     def check_fragment(self, text: str, context: str = "div", url: str = "") -> CheckReport:
         """Check an HTML *fragment* (the innerHTML algorithm).
@@ -205,7 +212,7 @@ class Checker:
         full documents.
         """
         _nodes, result = parse_fragment(text, context)
-        return self.check_parse(result, url=url)
+        return self._check_owned(result, url)
 
     def check_bytes(self, data: bytes, url: str = "") -> CheckReport | DecodeFailure:
         """Check raw bytes decode-free; :class:`DecodeFailure` for non-UTF-8.
@@ -227,4 +234,4 @@ class Checker:
                 url=url,
                 declared_encoding=sniff_encoding(data).encoding or "",
             )
-        return self.check_parse(result, url=url)
+        return self._check_owned(result, url)

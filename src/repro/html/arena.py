@@ -129,5 +129,16 @@ class DomArena:
         self.children.append(None)
         return idx
 
+    def unlink(self) -> None:
+        """Drop every parent and child link, freeing the tree.
+
+        Views hold their arena and the link columns hold views, so a
+        parsed tree is a reference cycle; emptying the columns lets
+        reference counting free it without the cyclic collector.  Every
+        view over this arena is unusable afterwards.
+        """
+        self.parents.clear()
+        self.children.clear()
+
     def __len__(self) -> int:
         return len(self.kinds)

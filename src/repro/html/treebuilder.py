@@ -236,6 +236,15 @@ class ParseResult:
             source = self._source = source.materialize_all()
         return source
 
+    def release(self) -> None:
+        """Free the tree now, by reference counting (DESIGN.md §3.14).
+
+        The document's nodes and arena point at each other; this breaks
+        that cycle, so the tree is unusable afterwards.  Only code that
+        creates a parse and never hands it out may call it.
+        """
+        self.document._arena.unlink()
+
     def events_of(self, kind: str) -> list[TreeEvent]:
         return [event for event in self.events if event.kind == kind]
 
@@ -687,25 +696,38 @@ class TreeBuilder:
         tokens = self.tokens
         collect = self._collect_tokens
         dispatch_mode = self._dispatch_mode
-        while True:
-            if queue:
-                token = popleft()
-            elif tokenizer._done:
-                break
-            else:
-                tokenizer._state()
-                continue
-            if collect:
-                tokens.append(token)
-            # inlined process_token: one frame per token on the hot loop
-            mode = dispatch_mode(token) if self._current_foreign else self.mode
-            while mode(token):
-                mode = (
-                    dispatch_mode(token)
-                    if self._current_foreign else self.mode
-                )
-            if self._stopped:
-                break
+        try:
+            while True:
+                if queue:
+                    token = popleft()
+                elif tokenizer._done:
+                    break
+                else:
+                    tokenizer._state()
+                    continue
+                if collect:
+                    tokens.append(token)
+                # inlined process_token: one frame per token on the hot loop
+                mode = dispatch_mode(token) if self._current_foreign else self.mode
+                while mode(token):
+                    mode = (
+                        dispatch_mode(token)
+                        if self._current_foreign else self.mode
+                    )
+                if self._stopped:
+                    break
+        except BaseException:
+            # an aborted parse (the section 4.1 UnicodeDecodeError) never
+            # reaches a caller, so its tree can be freed here
+            self.arena.unlink()
+            raise
+        finally:
+            # the insertion modes and tokenizer states are bound methods,
+            # i.e. self-references: drop them so the builder and tokenizer
+            # die by reference counting when the parse is done
+            self.mode = self.original_mode = None
+            self.template_modes.clear()
+            tokenizer._state = tokenizer._return_state = None
         self.errors.extend(tokenizer.errors)
         self.errors.sort(key=lambda error: error.offset)
         return ParseResult(

@@ -2,7 +2,11 @@
 
 For every snapshot and every study domain: collect CDX metadata (stage 1),
 fetch the documents (stage 2), filter + check them (stage 3), and store
-results (stage 4).  Deterministic and resumable per snapshot.
+results (stage 4).  Deterministic, but not resumable: the store commits
+once per snapshot, and a second :meth:`StudyRunner.run` into the same
+:class:`Storage` adds every row again (pages carry no uniqueness key and
+committed snapshots are not skipped).  ``run_study`` therefore deletes
+an unfinished results database and starts over (ROADMAP item 3(a)).
 """
 from __future__ import annotations
 

@@ -44,10 +44,16 @@ class TestChecker:
     def test_parse_not_kept_by_default(self):
         assert Checker().check_html(DIRTY).parse_result is None
 
-    def test_keep_parse(self):
-        report = Checker(keep_parse=True).check_html(DIRTY)
+    @pytest.mark.parametrize("entry", ["check_html", "check_bytes", "check_fragment"])
+    def test_keep_parse(self, entry):
+        # a kept tree is the caller's: the checker must not release it
+        source = DIRTY.encode("utf-8") if entry == "check_bytes" else DIRTY
+        report = getattr(Checker(keep_parse=True), entry)(source)
         assert report.parse_result is not None
-        assert report.parse_result.document.body is not None
+        elements = list(report.parse_result.document.iter_elements())
+        assert len(elements) > 5
+        for element in elements:
+            assert any(child is element for child in element.parent.children)
 
     def test_finding_type_accessor(self):
         report = Checker().check_html(DIRTY)
