@@ -40,6 +40,9 @@ echo "==> tokenizer equivalence (bytes scanner vs per-character reference)"
 python -m pytest -x -q tests/html/test_tokenizer_equivalence.py \
     tests/html/test_bytes_tokenizer.py
 
+echo "==> tree-builder parity (end-tag shortcut vs handler-only reference builders)"
+python -m pytest -x -q tests/html/test_parse_parity.py
+
 echo "==> serve smoke (ephemeral port, full surface, graceful drain)"
 python scripts/serve_smoke.py
 

@@ -180,12 +180,9 @@ def _staged_pipeline_run(root, domains) -> tuple[dict, int]:
     from repro.pipeline.metadata import collect_metadata
 
     stages = {"index": 0.0, "fetch": 0.0, "check": 0.0, "store": 0.0}
-    try:
-        # what the production pipeline runs: DOM-free streaming checks,
-        # with taint fallback to the materialized walk on reordered pages
-        checker = Checker(mode="stream")
-    except TypeError:
-        checker = Checker()  # pre-stream checkout (before/after baselines)
+    # DOM-free streaming checks, with taint fallback to the materialized
+    # walk on reordered pages — what the production pipeline runs
+    checker = Checker()
     pages_stored = 0
     client = CommonCrawlClient(root)
     with Storage(":memory:") as storage:
@@ -243,13 +240,12 @@ def _staged_pipeline_run(root, domains) -> tuple[dict, int]:
     closer = getattr(client, "close", None)
     if closer is not None:
         closer()
-    # fraction of checked pages that needed the full DOM (stream taints
-    # plus DOM-mode parses); 0.0 on a pre-stream checkout's counters
-    checked_pages = getattr(checker, "pages_checked", 0)
-    if checker.__dict__.get("mode") == "stream" and checked_pages:
-        materialized = checker.stream_fallbacks / checked_pages
-    else:
-        materialized = 1.0 if checked_pages else 0.0
+    # fraction of checked pages whose stream parse tainted and fell back
+    # to the DOM walk
+    checked_pages = checker.pages_checked
+    materialized = (
+        checker.stream_fallbacks / checked_pages if checked_pages else 0.0
+    )
     return stages, pages_stored, materialized
 
 
@@ -286,8 +282,8 @@ def run_pipeline_case(config: BenchConfig) -> dict:
         "best_seconds": best_total,
         "pages_per_second": pages / best_total if best_total else 0.0,
         "stages": best_stages,
-        # stream-mode taint rate: what fraction of pages still paid for a
-        # materialized DOM (1.0 = every page, i.e. pure DOM mode)
+        # stream taint rate: what fraction of pages still walked a
+        # materialized DOM
         "dom_materialized_ratio": materialized,
     }
 

@@ -91,6 +91,7 @@ def autofix(html: str, *, checker: Checker | None = None) -> AutofixResult:
     report = checker.check_parse(result)
     fixable, manual = classify(report)
     if not fixable:
+        result.release()
         return AutofixResult(original=html, fixed=html, remaining=manual)
 
     source = result.source
@@ -138,6 +139,8 @@ def autofix(html: str, *, checker: Checker | None = None) -> AutofixResult:
         else:
             unapplied.append(finding)
 
+    # the parse never leaves this call: free it by reference counting
+    result.release()
     fixed = _apply_edits(source, edits)
     return AutofixResult(
         original=html, fixed=fixed, repaired=repaired,
@@ -242,7 +245,14 @@ def _head_insertion_point(result) -> int:
 
 
 def _apply_edits(source: str, edits: list[tuple[int, int, str]]) -> str:
-    """Apply non-overlapping (start, end, replacement) edits."""
+    """Apply non-overlapping (start, end, replacement) edits.
+
+    Removing a tag must not splice its neighbours into new markup: in
+    ``<<base>d/a>`` the first ``<`` is text only because ``<base`` follows
+    it, and dropping the base would leave the tag ``<d/a>``.  So a stray
+    text ``<`` left directly before a removed tag is written as ``&lt;``,
+    which is the same text.
+    """
     if not edits:
         return source
     edits.sort(key=lambda edit: (edit[0], edit[1]))
@@ -253,10 +263,27 @@ def _apply_edits(source: str, edits: list[tuple[int, int, str]]) -> str:
             # Overlapping edit (same tag flagged twice) — skip the later one.
             continue
         parts.append(source[cursor:start])
+        if not replacement:
+            _escape_trailing_lt(parts)
         parts.append(replacement)
         cursor = end
     parts.append(source[cursor:])
     return "".join(parts)
+
+
+def _escape_trailing_lt(parts: list[str]) -> None:
+    """Rewrite a ``<`` that ends the output so far as ``&lt;``.
+
+    Replacements are whole tags ending in ``>``, so a trailing ``<`` is
+    source text the tokenizer emitted as a character before the removed
+    tag's ``<``.
+    """
+    for index in range(len(parts) - 1, -1, -1):
+        part = parts[index]
+        if part:
+            if part[-1] == "<":
+                parts[index] = part[:-1] + "&lt;"
+            return
 
 
 def estimate_fixability(report: CheckReport) -> bool:

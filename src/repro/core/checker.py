@@ -14,7 +14,6 @@ from ..html import (
     ParseResult,
     StreamTreeBuilder,
     parse,
-    parse_bytes,
     parse_fragment,
     sniff_encoding,
 )
@@ -54,8 +53,9 @@ class CheckReport:
 
     url: str
     findings: list[Finding] = field(default_factory=list)
-    #: parse kept for debugging / secondary analyses; may be None when
-    #: the checker is run in low-memory mode
+    #: the parse, kept only under ``Checker(keep_parse=True)``.  From
+    #: ``check_bytes`` it is the element-only stream tree (no text or
+    #: comment nodes); ``check_html``/``check_fragment`` keep the full tree
     parse_result: ParseResult | None = None
     #: (findings length when computed, cached id set)
     _violated_cache: tuple[int, frozenset[str]] | None = field(
@@ -105,19 +105,17 @@ class Checker:
     Either engine wraps a failing rule in :class:`RuleExecutionError`
     naming the rule id, so a crash on one page is attributable.
 
-    ``mode`` selects how bytes are parsed (``check_bytes`` /
-    ``parse_page_bytes`` only):
-
-    * ``"dom"`` (default) — materialize the full DOM and walk it;
-    * ``"stream"`` — DOM-free: the tree builder emits the element
-      pre-order while parsing and the fused tree dispatch runs over the
-      flat list, never building text/comment nodes.  Pages whose parse
-      needs a tree-reordering mutation *taint* mid-parse: the builder
-      finishes normally and the tree dispatch falls back to the ordinary
-      DOM walk over the (element-complete, text-free) tree — no
-      re-parse, findings bit-identical by construction;
-      :attr:`pages_checked` / :attr:`stream_fallbacks` count how often
-      that happens (the bench snapshot exports the ratio).
+    Pages given as bytes (``check_bytes`` / ``parse_page_bytes``, which
+    every production caller reaches) are parsed DOM-free: the tree builder
+    emits the element pre-order while parsing and the fused tree dispatch
+    runs over the flat list, never building text/comment nodes.  Pages
+    whose parse needs a tree-reordering mutation *taint* mid-parse: the
+    builder finishes normally and the tree dispatch falls back to the
+    ordinary DOM walk over the (element-complete, text-free) tree — no
+    re-parse, findings bit-identical by construction;
+    :attr:`pages_checked` / :attr:`stream_fallbacks` count how often that
+    happens.  ``check_html`` and ``check_fragment`` build full trees, and
+    ``check_parse`` checks whichever parse it is given.
     """
 
     def __init__(
@@ -126,32 +124,32 @@ class Checker:
         *,
         keep_parse: bool = False,
         engine: str = "fused",
-        mode: str = "dom",
     ) -> None:
         self.rules = rules if rules is not None else default_rules()
         self.keep_parse = keep_parse
         if engine not in ("fused", "reference"):
             raise ValueError(f"unknown checker engine {engine!r}")
-        if mode not in ("dom", "stream"):
-            raise ValueError(f"unknown checker mode {mode!r}")
         self.engine = engine
-        self.mode = mode
         self._fused = FusedCheckEngine(self.rules) if engine == "fused" else None
         #: pages parsed through ``parse_page_bytes``/``check_bytes``
         self.pages_checked = 0
-        #: stream-mode parses that tainted and fell back to the DOM walk
+        #: of those, parses that tainted and fell back to the DOM walk
         self.stream_fallbacks = 0
 
     def parse_page_bytes(self, data: bytes) -> ParseResult:
-        """Parse page bytes honouring :attr:`mode` (with taint fallback)."""
+        """Parse page bytes DOM-free, with the taint fallback.
+
+        The result holds elements only (no text or comment nodes), so it
+        is for the rules and :func:`~repro.core.features.measure_features`,
+        not for the serializer; :func:`~repro.html.parse_bytes` builds the
+        full tree.
+        """
         self.pages_checked += 1
-        if self.mode == "stream":
-            builder = StreamTreeBuilder()
-            result = builder.parse_bytes(data)
-            if builder.tainted is not None:
-                self.stream_fallbacks += 1
-            return result
-        return parse_bytes(data)
+        builder = StreamTreeBuilder()
+        result = builder.parse_bytes(data)
+        if builder.tainted is not None:
+            self.stream_fallbacks += 1
+        return result
 
     def check_parse(self, result: ParseResult, url: str = "") -> CheckReport:
         report = CheckReport(url=url, parse_result=result if self.keep_parse else None)

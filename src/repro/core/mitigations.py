@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..html import ParseResult, parse
-from .rules import URL_ATTRIBUTES, iter_start_tag_attrs
+from .rules import URL_ATTRIBUTES, Footprint, iter_start_tag_attrs
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,10 +55,13 @@ class MitigationCollector:
     same :class:`MitigationReport` from that one sweep instead of paying
     for a second full token iteration.  Visit order is identical to
     :func:`~repro.core.rules.base.iter_start_tag_attrs`, so the report is
-    bit-identical to the standalone measurement.
+    bit-identical to the standalone measurement.  Both detectors need a
+    ``<`` or a newline in the value, which the footprint declares so the
+    sweep can skip attributes that hold neither.
     """
 
     __slots__ = ("report",)
+    footprint = Footprint(token_attrs=("*",), value_chars="<\n")
 
     def __init__(self) -> None:
         self.report = MitigationReport()

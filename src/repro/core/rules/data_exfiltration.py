@@ -81,7 +81,9 @@ class DanglingMarkupUrl(Rule):
     """
 
     id = "DE3_1"
-    footprint = Footprint(token_attrs=tuple(sorted(URL_ATTRIBUTES)))
+    footprint = Footprint(
+        token_attrs=tuple(sorted(URL_ATTRIBUTES)), value_chars="\n"
+    )
 
     def check(self, result: ParseResult) -> list[Finding]:
         findings = []
@@ -118,7 +120,7 @@ class ScriptInAttribute(Rule):
     """
 
     id = "DE3_2"
-    footprint = Footprint(token_attrs=("*",))
+    footprint = Footprint(token_attrs=("*",), value_chars="<")
 
     def check(self, result: ParseResult) -> list[Finding]:
         findings = []
@@ -155,7 +157,7 @@ class NewlineInTarget(Rule):
     """
 
     id = "DE3_3"
-    footprint = Footprint(token_attrs=("target",))
+    footprint = Footprint(token_attrs=("target",), value_chars="\n")
 
     def check(self, result: ParseResult) -> list[Finding]:
         findings = []

@@ -31,6 +31,7 @@ order, which is also what ``Rule.check`` produces.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
@@ -61,7 +62,13 @@ class Footprint:
       stream (``"*"`` = every attribute);
     * ``tags`` — element names read from the DOM walk (``"*"`` = every
       element);
-    * ``regions`` — tree regions consulted per element (``"head"``).
+    * ``regions`` — tree regions consulted per element (``"head"``);
+    * ``value_chars`` — characters at least one of which an attribute
+      value must contain for ``fused_attr`` to act on it (``""`` = any
+      value can matter).  Only meaningful with ``token_attrs``: when every
+      attribute subscriber declares some, the sweep skips start tags
+      whose unread attribute bytes hold none of them (see
+      :meth:`FusedCheckEngine.run`).
     """
 
     events: tuple[str, ...] = ()
@@ -69,6 +76,7 @@ class Footprint:
     token_attrs: tuple[str, ...] = ()
     tags: tuple[str, ...] = ()
     regions: tuple[str, ...] = ()
+    value_chars: str = ""
 
     def sources(self) -> tuple[str, ...]:
         """Which of the four shared scans this footprint subscribes to."""
@@ -123,6 +131,9 @@ class _Compiled:
     tag_wild: list = field(default_factory=list)
     tree_indices: tuple = ()
     unfused: tuple = ()  # (bucket index, rule) run via rule.check()
+    #: union of the attribute subscribers' ``value_chars``; None when one
+    #: of them declares none (every value can matter to it)
+    value_chars: str | None = ""
 
 
 class FusedCheckEngine:
@@ -137,10 +148,29 @@ class FusedCheckEngine:
     def __init__(self, rules: Sequence["Rule"]) -> None:
         self.rules = tuple(rules)
         self._tables = _compile(self.rules)
+        #: observer class (NoneType: no observer) -> its sweep skip test
+        self._skips: dict[type, object] = {}
 
     @property
     def fused_rule_count(self) -> int:
         return len(self.rules) - len(self._tables.unfused)
+
+    def _attr_skip(self, attr_observer):
+        """``search`` of the pattern an unread attribute region must match
+        to be swept, or None when every start tag must be swept."""
+        kind = type(attr_observer)
+        if kind in self._skips:
+            return self._skips[kind]
+        chars = self._tables.value_chars
+        if chars is not None and attr_observer is not None:
+            footprint = getattr(kind, "footprint", None)
+            observed = footprint.value_chars if footprint is not None else ""
+            chars = "".join(sorted(set(chars + observed))) if observed else None
+        skip = None if chars is None else re.compile(b"|".join(
+            re.escape(char.encode("utf-8")) for char in chars
+        )).search
+        self._skips[kind] = skip
+        return skip
 
     def run(self, result: ParseResult, attr_observer=None) -> list[Finding]:
         """Run the fused pass; ``attr_observer`` (if given) is called
@@ -149,6 +179,14 @@ class FusedCheckEngine:
         :func:`~repro.core.rules.base.iter_start_tag_attrs`, letting
         callers (the pipeline's mitigation detectors) ride the one token
         iteration instead of paying for their own.
+
+        The sweep leaves out start tags whose attributes cannot matter:
+        when every attribute subscriber, and the observer's class
+        ``footprint``, declares ``value_chars``, a tag whose attributes are
+        still an unread byte region holding none of those characters is
+        skipped without decoding.  The bytes tokenizer defers only ASCII
+        regions without ``&`` or NUL, after CR is folded to LF, so a value
+        contains a character exactly when the region's bytes do.
         """
         tables = self._tables
         buckets: list[list[Finding]] = [[] for _ in self.rules]
@@ -174,6 +212,7 @@ class FusedCheckEngine:
             attr_subs, attr_wild = tables.attr_subs, tables.attr_wild
             if attr_subs or attr_wild or attr_observer is not None:
                 get_attr_subs = attr_subs.get
+                skip = self._attr_skip(attr_observer)
                 if len(attr_wild) == 1 and attr_observer is None:
                     # single-wildcard fast lane (the default rule set):
                     # unpack the lone wild subscriber once and skip the
@@ -182,6 +221,12 @@ class FusedCheckEngine:
                     wild_bucket = buckets[wild_index]
                     for token in result.tokens:
                         if token.__class__ is StartTag:
+                            if skip is not None:
+                                lazy = token._lazy
+                                if lazy is not None and skip(
+                                    lazy.source.data, lazy.start, lazy.end
+                                ) is None:
+                                    continue
                             for attribute in token.attributes:
                                 name = attribute.name
                                 value = attribute.value
@@ -200,6 +245,12 @@ class FusedCheckEngine:
                 else:
                     for token in result.tokens:
                         if token.__class__ is StartTag:
+                            if skip is not None:
+                                lazy = token._lazy
+                                if lazy is not None and skip(
+                                    lazy.source.data, lazy.start, lazy.end
+                                ) is None:
+                                    continue
                             for attribute in token.attributes:
                                 name = attribute.name
                                 value = attribute.value
@@ -231,7 +282,7 @@ class FusedCheckEngine:
                     twild_state = states[twild_index]
                     twild_bucket = buckets[twild_index]
                 if stream is not None:
-                    # stream mode: the tree builder already emitted the
+                    # stream parse: the tree builder already emitted the
                     # element pre-order with walk-equivalent in_head flags,
                     # so dispatch runs over the flat list with no DOM walk
                     if single_wild:
@@ -334,6 +385,11 @@ def _compile(rules: Sequence["Rule"]) -> _Compiled:
             raise FusedCompileError(
                 f"rule {rule.id}: footprint subscribes to no data source"
             )
+        if footprint.value_chars and not footprint.token_attrs:
+            raise FusedCompileError(
+                f"rule {rule.id}: footprint declares value_chars without "
+                "token_attrs"
+            )
         for fp_field, method in _HANDLERS.items():
             keys = getattr(footprint, fp_field)
             if not keys:
@@ -364,6 +420,12 @@ def _compile(rules: Sequence["Rule"]) -> _Compiled:
                         (index, rule, handler)
                     )
             elif fp_field == "token_attrs":
+                if not footprint.value_chars:
+                    tables.value_chars = None
+                elif tables.value_chars is not None:
+                    tables.value_chars = "".join(
+                        sorted(set(tables.value_chars + footprint.value_chars))
+                    )
                 if WILDCARD in keys:
                     tables.attr_wild.append((index, rule, handler))
                 else:

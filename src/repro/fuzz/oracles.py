@@ -27,14 +27,20 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..core import Checker, DecodeFailure, autofix
-from ..html import decode_bytes, parse, preprocess, serialize
+from ..core.mitigations import measure_mitigations
+from ..html import decode_bytes, parse, parse_bytes, preprocess, serialize
 from ..html.bytes_tokenizer import BytesTokenizer
 from ..html.dom import Element, Text
 from ..html.dump import dump_tree
 from ..html.serializer import RAW_TEXT_ELEMENTS
-from ..html.treebuilder import SPECIAL_ELEMENTS
+from ..html.treebuilder import (
+    _IN_BODY_END,
+    SPECIAL_ELEMENTS,
+    StreamTreeBuilder,
+    TreeBuilder,
+)
 from ..html.tokenizer import Tokenizer
-from ..html.tokens import EOF
+from ..html.tokens import EOF, EndTag
 from ..warc import WARCFormatError, WARCRecord, WARCWriter, iter_records, surt
 from ..warc.cdx import CDXEntry, CDXFormatError
 
@@ -311,6 +317,82 @@ def oracle_roundtrip(data: bytes) -> None:
         )
 
 
+# ----------------------------------------------------------- tree builder
+
+
+class _HandlerEndTags:
+    """Reference in-body dispatch: every end tag runs its handler.
+
+    Mixed in front of a production builder, it drops
+    ``TreeBuilder._mode_in_body``'s direct pop of a current node that an
+    end tag closes, so the parse goes through the spec-transcribed
+    handlers that the shortcut skips.
+    """
+
+    def _mode_in_body(self, token) -> bool:
+        if token.__class__ is EndTag:
+            handler = _IN_BODY_END.get(token.name)
+            if handler is None:
+                return self._any_other_end_tag(token)
+            return handler(self, token)
+        return super()._mode_in_body(token)
+
+
+class ReferenceTreeBuilder(_HandlerEndTags, TreeBuilder):
+    """:class:`TreeBuilder` with every in-body end tag sent to its handler."""
+
+
+class ReferenceStreamTreeBuilder(_HandlerEndTags, StreamTreeBuilder):
+    """:class:`StreamTreeBuilder` with every in-body end tag sent to its
+    handler."""
+
+
+#: (label, production builder, reference builder)
+BUILDER_PAIRS = (
+    ("dom", TreeBuilder, ReferenceTreeBuilder),
+    ("stream", StreamTreeBuilder, ReferenceStreamTreeBuilder),
+)
+
+
+def _parse_record(builder, data: bytes) -> tuple:
+    """Everything a parse exposes, as comparable ``(field, value)`` pairs."""
+    result = builder.parse_bytes(data)
+    stream = result.stream_elements
+    record = (
+        ("tree", dump_tree(result.document)),
+        ("errors", result.errors),
+        ("events", result.events),
+        ("stream", None if stream is None else [
+            (element.name, in_head) for element, in_head in stream
+        ]),
+        ("taint", getattr(builder, "tainted", None)),
+    )
+    result.release()
+    return record
+
+
+def oracle_parse_parity(data: bytes) -> None:
+    """The tree builders' end-tag shortcut changes nothing observable.
+
+    An in-body end tag that closes the current node is popped directly
+    instead of running its handler (the handler-only names aside).  Both
+    production builders must produce the same tree dump, parse errors,
+    tree events, stream emission (element names and ``in_head`` flags)
+    and taint reason as their :class:`_HandlerEndTags` reference twins.
+    """
+    _decode(data)  # SkipInput for non-UTF-8 (neither builder gets a tree)
+    for label, production, reference in BUILDER_PAIRS:
+        got = _parse_record(production(), data)
+        expected = _parse_record(reference(), data)
+        for (field, left), (_field, right) in zip(expected, got):
+            if left != right:
+                raise OracleFailure(
+                    "parse-parity-divergence",
+                    f"{label} builder {field}: reference {str(left)[:80]} "
+                    f"!= production {str(right)[:80]} in {data[:80]!r}",
+                )
+
+
 # ---------------------------------------------------------------- autofix
 
 
@@ -560,12 +642,25 @@ def oracle_fused_parity(data: bytes) -> None:
     evidence, so ordering or field drift is as much a bug as a missing
     finding.  This is the same retained-reference pattern that pins the
     bytes tokenizer to the per-character ``Tokenizer`` base.
+
+    The section 4.5 mitigation report rides the fused attribute sweep
+    (``check_parse_with_mitigations``); it must equal the standalone
+    :func:`~repro.core.mitigations.measure_mitigations` pass.  The fused
+    engine runs first, on attributes nothing has read yet, so its sweep
+    meets the byte regions its ``value_chars`` skip may pass over.
     """
     text = _decode(data)
     result = parse(text)
     fused, reference = _engine_pair()
+    report, mitigation = fused.check_parse_with_mitigations(result)
+    got = report.findings
     expected = reference.check_parse(result).findings
-    got = fused.check_parse(result).findings
+    expected_mitigation = measure_mitigations(result)
+    if mitigation != expected_mitigation:
+        raise OracleFailure(
+            "fused-mitigation-divergence",
+            f"reference {expected_mitigation!r} != fused {mitigation!r}"[:240],
+        )
     if got != expected:
         length = f"{len(got)} fused vs {len(expected)} reference findings"
         for index, (left, right) in enumerate(zip(expected, got)):
@@ -577,22 +672,20 @@ def oracle_fused_parity(data: bytes) -> None:
         raise OracleFailure("fused-parity-length", length)
 
 
-_DOM_CHECKER: "Checker | None" = None
 _STREAM_CHECKER: "Checker | None" = None
 
 
-def _mode_pair() -> tuple[Checker, Checker]:
-    global _DOM_CHECKER, _STREAM_CHECKER
-    if _DOM_CHECKER is None:
-        _DOM_CHECKER = Checker(mode="dom")
-        _STREAM_CHECKER = Checker(mode="stream")
-    return _DOM_CHECKER, _STREAM_CHECKER
+def _stream_checker() -> Checker:
+    global _STREAM_CHECKER
+    if _STREAM_CHECKER is None:
+        _STREAM_CHECKER = Checker()
+    return _STREAM_CHECKER
 
 
 def oracle_stream_parity(data: bytes) -> None:
     """DOM-free stream checking equals the materialized-DOM walk.
 
-    ``Checker(mode="stream")`` parses through
+    ``Checker.check_bytes`` parses through
     :class:`~repro.html.treebuilder.StreamTreeBuilder` — elements are
     emitted in pre-order while parsing, text/comment nodes are never
     built, and the fused tree dispatch runs over the flat emission list.
@@ -600,23 +693,31 @@ def oracle_stream_parity(data: bytes) -> None:
     parenting, adoption-agency reparenting, frameset body takeover, the
     after-head reroute) *taint* and fall back to the ordinary DOM walk
     over the element-complete tree.  Either way the findings must be
-    **bit-identical ordered** to ``mode="dom"`` — this is the machine
-    check behind the stream mode's correctness argument, including the
-    fallback path: both the taint classifier (does the builder notice the
-    mutation?) and the emission invariant (is the untainted emission
-    really the final pre-order?) fail loudly here if wrong.
+    **bit-identical ordered** to the same fused engine's ``check_parse``
+    over the full DOM from :func:`~repro.html.parse_bytes` — this is the
+    machine check behind the stream check's correctness argument,
+    including the fallback path: both the taint classifier (does the
+    builder notice the mutation?) and the emission invariant (is the
+    untainted emission really the final pre-order?) fail loudly here if
+    wrong.
     """
-    _decode(data)  # SkipInput for non-UTF-8 (both modes would just agree)
-    dom, stream = _mode_pair()
-    expected = dom.check_bytes(data)
-    got = stream.check_bytes(data)
-    if isinstance(expected, DecodeFailure) or isinstance(got, DecodeFailure):
-        if type(expected) is not type(got):
-            raise OracleFailure(
-                "stream-decode-divergence",
-                f"dom {type(expected).__name__} vs stream {type(got).__name__}",
-            )
+    _decode(data)  # SkipInput for non-UTF-8 (both parses would just agree)
+    checker = _stream_checker()
+    got = checker.check_bytes(data)
+    try:
+        reference = parse_bytes(data)
+    except UnicodeDecodeError:
+        reference = None
+    if (reference is None) != isinstance(got, DecodeFailure):
+        raise OracleFailure(
+            "stream-decode-divergence",
+            f"dom {'DecodeFailure' if reference is None else 'parse'} vs "
+            f"stream {type(got).__name__}",
+        )
+    if reference is None:
         return
+    expected = checker.check_parse(reference)
+    reference.release()
     if got.findings != expected.findings:
         for index, (left, right) in enumerate(
             zip(expected.findings, got.findings)
@@ -853,8 +954,15 @@ ORACLES: dict[str, Oracle] = {
         Oracle(
             "fused_parity",
             "fused single-pass check engine emits findings bit-identical "
-            "to the per-rule reference path",
+            "to the per-rule reference path; its mitigation sweep equals "
+            "the standalone pass",
             oracle_fused_parity,
+        ),
+        Oracle(
+            "parse_parity",
+            "tree builders with the in-body end-tag shortcut equal their "
+            "handler-only references (tree, errors, events, stream, taint)",
+            oracle_parse_parity,
         ),
         Oracle(
             "stream_parity",

@@ -1202,7 +1202,12 @@ def tokenize_bytes(data: bytes) -> tuple[list[Token], list[ParseError]]:
     :class:`UnicodeDecodeError` when ``data`` is not valid UTF-8.
     """
     tokenizer = BytesTokenizer(data)
-    tokens = list(tokenizer)
+    try:
+        tokens = list(tokenizer)
+    finally:
+        # the states are bound methods, i.e. self-references: drop them so
+        # the tokenizer dies by reference counting (as TreeBuilder._run does)
+        tokenizer._state = tokenizer._return_state = None
     return tokens, tokenizer.errors
 
 

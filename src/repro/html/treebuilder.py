@@ -280,14 +280,13 @@ class TreeBuilder:
     full.
     """
 
-    def __init__(self, *, collect_tokens: bool = True, fragment_context: Element | None = None) -> None:
+    def __init__(self, *, fragment_context: Element | None = None) -> None:
         #: one arena backs every node this builder creates (DESIGN.md §3.14)
         self.arena = DomArena()
         self.document = Document(arena=self.arena)
         self.errors: list[ParseError] = []
         self.events: list[TreeEvent] = []
-        self.tokens: list[Token] = [] if collect_tokens else None  # type: ignore[assignment]
-        self._collect_tokens = collect_tokens
+        self.tokens: list[Token] = []
         self.open_elements: list[Element] = []
         self.active_formatting: list[Element | None] = []  # None is a marker
         self._formatting_tokens: dict[int, StartTag] = {}
@@ -693,8 +692,7 @@ class TreeBuilder:
         # per token on the hottest loop in the parser
         queue = tokenizer._queue
         popleft = queue.popleft
-        tokens = self.tokens
-        collect = self._collect_tokens
+        append_token = self.tokens.append
         dispatch_mode = self._dispatch_mode
         try:
             while True:
@@ -705,8 +703,7 @@ class TreeBuilder:
                 else:
                     tokenizer._state()
                     continue
-                if collect:
-                    tokens.append(token)
+                append_token(token)
                 # inlined process_token: one frame per token on the hot loop
                 mode = dispatch_mode(token) if self._current_foreign else self.mode
                 while mode(token):
@@ -734,7 +731,7 @@ class TreeBuilder:
             document=self.document,
             errors=self.errors,
             events=self.events,
-            tokens=self.tokens if self._collect_tokens else [],
+            tokens=self.tokens,
             source=source,
             stream_elements=self._stream_elements,
         )
@@ -1112,7 +1109,29 @@ class TreeBuilder:
                 return self._ibs_any(token)
             return handler(self, token)
         if cls is EndTag:
-            handler = _IN_BODY_END.get(token.name)
+            name = token.name
+            stack = self.open_elements
+            if stack:
+                # an end tag that closes the current node pops it directly:
+                # each bypassed handler would pass its scope check at the
+                # first stack entry, imply no end tags, report no error and
+                # pop exactly this node (see _IN_BODY_END_HANDLER_ONLY)
+                node = stack[-1]
+                if (
+                    node.name == name
+                    and node.namespace == HTML_NAMESPACE
+                    and name not in _IN_BODY_END_HANDLER_ONLY
+                ):
+                    if name not in FORMATTING_ELEMENTS:
+                        self.pop()
+                        return False
+                    formatting = self.active_formatting
+                    if formatting and formatting[-1] is node:
+                        # the adoption agency's no-furthest-block exit
+                        formatting.pop()
+                        self.pop()
+                        return False
+            handler = _IN_BODY_END.get(name)
             if handler is None:
                 return self._any_other_end_tag(token)
             return handler(self, token)
@@ -2616,10 +2635,8 @@ class StreamTreeBuilder(TreeBuilder):
 
     _FOSTER_TARGETS = frozenset({"table", "tbody", "tfoot", "thead", "tr"})
 
-    def __init__(
-        self, *, collect_tokens: bool = True, taint: str = "fallback"
-    ) -> None:
-        super().__init__(collect_tokens=collect_tokens)
+    def __init__(self, *, taint: str = "fallback") -> None:
+        super().__init__()
         self._stream_elements = []
         self._head_depth = 0
         self.tainted: str | None = None
@@ -2731,6 +2748,23 @@ _IN_BODY_END = _build_dispatch({
     "template": TreeBuilder._ibe_template,
 })
 
+#: in-body end tags that always run their handler, even when they close
+#: the current node: ``</body>``/``</html>`` switch the insertion mode,
+#: ``</form>`` clears the form pointer, ``</template>`` runs the in-head
+#: template steps, ``</applet>``/``</marquee>``/``</object>`` clear the
+#: formatting list to its marker, and ``</br>`` inserts a ``<br>``.  For
+#: every other name, an end tag whose name matches the current HTML node
+#: is exactly one pop in its handler: the block, ``p``, ``li``,
+#: ``dd``/``dt``, heading and "any other end tag" paths find the node in
+#: scope at the first stack entry, generate no implied end tags (the node
+#: is not an implied-end-tag element, or it is the excluded one) and
+#: report no error; the adoption agency, when the node is also the last
+#: active-formatting entry, finds no furthest block and removes that
+#: entry.  ``_mode_in_body`` pops such nodes without the handler hop.
+_IN_BODY_END_HANDLER_ONLY = frozenset({
+    "body", "html", "form", "template", "br", "applet", "marquee", "object",
+})
+
 
 def _split_leading_ws(data: str) -> tuple[str, str]:
     rest = data.lstrip(_WS)
@@ -2753,7 +2787,7 @@ def _describe_token(token: Token) -> str:
 
 # ------------------------------------------------------------------ frontends
 
-def parse(text: str, *, collect_tokens: bool = True) -> ParseResult:
+def parse(text: str) -> ParseResult:
     """Parse a full HTML document with the error-tolerant algorithm.
 
     ``text`` is encoded to UTF-8 and parsed by the same bytes tokenizer as
@@ -2762,22 +2796,20 @@ def parse(text: str, *, collect_tokens: bool = True) -> ParseResult:
     USVString conversion); the swap is one code point for one, so every
     offset still indexes ``text``.
     """
-    return TreeBuilder(collect_tokens=collect_tokens).parse(text)
+    return TreeBuilder().parse(text)
 
 
-def parse_bytes(data: bytes, *, collect_tokens: bool = True) -> ParseResult:
+def parse_bytes(data: bytes) -> ParseResult:
     """Parse raw UTF-8 bytes decode-free (the pipeline hot path).
 
     Equivalent to ``parse(decode_bytes(data))`` for valid UTF-8 input but
     without the upfront decode; raises :class:`UnicodeDecodeError` for
     input the section 4.1 encoding filter would reject.
     """
-    return TreeBuilder(collect_tokens=collect_tokens).parse_bytes(data)
+    return TreeBuilder().parse_bytes(data)
 
 
-def parse_bytes_stream(
-    data: bytes, *, collect_tokens: bool = True, taint: str = "fallback"
-) -> ParseResult:
+def parse_bytes_stream(data: bytes, *, taint: str = "fallback") -> ParseResult:
     """Parse raw UTF-8 bytes in DOM-free stream mode.
 
     For untainted pages the returned result carries ``stream_elements`` —
@@ -2789,13 +2821,11 @@ def parse_bytes_stream(
     with :class:`StreamTaint` at the first divergence instead (parity
     tooling).
     """
-    return StreamTreeBuilder(
-        collect_tokens=collect_tokens, taint=taint
-    ).parse_bytes(data)
+    return StreamTreeBuilder(taint=taint).parse_bytes(data)
 
 
 def parse_fragment(
-    text: str, context: str = "div", *, collect_tokens: bool = True
+    text: str, context: str = "div"
 ) -> tuple[list[Node], ParseResult]:
     """Parse an HTML fragment in ``context`` (the innerHTML algorithm).
 
@@ -2806,9 +2836,7 @@ def parse_fragment(
     rule included.
     """
     context_element = Element(context)
-    builder = TreeBuilder(
-        collect_tokens=collect_tokens, fragment_context=context_element
-    )
+    builder = TreeBuilder(fragment_context=context_element)
     root = Element("html", source_offset=-1, arena=builder.arena)
     builder.document.append(root)
     builder.push(root)

@@ -66,8 +66,8 @@ def check_page(
     try:
         # decode-free: the bytes tokenizer applies the UTF-8 filter as it
         # scans, so clean pages never pay for an upfront decode + copy;
-        # honours the checker's mode (stream parses skip the DOM build and
-        # fall back to it only on tainted pages)
+        # the stream parse skips the DOM build and falls back to the DOM
+        # walk only on tainted pages
         result = checker.parse_page_bytes(page.payload)
     except UnicodeDecodeError:
         return CheckedPage(url=page.url, utf8=False, declared_encoding=declared)

@@ -46,12 +46,13 @@ have its ``fused_*`` handler implemented on the class (or a same-module
 base), or the fused compiler would reject the registry at import time.
 
 ``fused_element`` handlers carry one extra obligation: the stream check
-mode (``Checker(mode="stream")``) calls them *during* the parse, in
-pre-order, on elements whose child lists are not yet complete and whose
-text children are never materialized.  A handler reading ``.children``
-or ``.parent`` would therefore see a half-built tree in stream mode and
-a finished one in DOM mode — a silent parity break the fuzz oracle can
-only catch after the fact.  The pass bans those reads statically.
+(``Checker.check_bytes``, the production parse) feeds them the elements
+the tree builder emitted in pre-order *during* the parse, whose text
+children are never materialized.  A handler reading ``.children`` or
+``.parent`` would therefore see a text-free tree there and a full one
+under ``check_parse`` of a full DOM — a silent parity break the fuzz
+oracle can only catch after the fact.  The pass bans those reads
+statically.
 """
 from __future__ import annotations
 
@@ -85,10 +86,14 @@ _REGEX_CALLS = frozenset(
 
 _FOOTPRINT_FIELDS = ("events", "errors", "token_attrs", "tags", "regions")
 
+#: declared-only fields: a hint to the engine that the analyzer cannot
+#: re-derive from ``check``; it must be a string, and the fused compiler
+#: rejects it without ``token_attrs``
+_HINT_FIELDS = ("value_chars",)
+
 #: tree-structure attributes forbidden inside ``fused_element`` handlers:
-#: the stream check mode emits elements pre-order during the parse, so
-#: child lists are incomplete (and text children absent) when the handler
-#: runs — structural reads would diverge between stream and DOM modes
+#: the stream check emits elements pre-order during the parse, without
+#: text children — structural reads would diverge from the full DOM walk
 _STRUCTURE_ATTRS = frozenset({"children", "parent"})
 
 
@@ -361,6 +366,19 @@ class FootprintPass(LintPass):
             return None
         fields: dict[str, frozenset[str]] = {}
         for keyword in declared.keywords:
+            if keyword.arg in _HINT_FIELDS:
+                try:
+                    hint = _evaluate(keyword.value, resolve)
+                except _Unresolvable:
+                    hint = None
+                if not isinstance(hint, str):
+                    self.report(
+                        file, declared,
+                        f"rule {cls.name} footprint field {keyword.arg!r} "
+                        "is not a statically evaluable string",
+                    )
+                    return None
+                continue
             if keyword.arg not in _FOOTPRINT_FIELDS:
                 self.report(
                     file, declared,

@@ -1,11 +1,12 @@
-"""The DOM-free streaming check mode (``Checker(mode="stream")``).
+"""The DOM-free streaming check (``Checker.check_bytes``).
 
-Stream mode runs the fused tree dispatch over elements emitted pre-order
-*during* the parse.  Pages whose construction needs a tree-reordering
-mutation (foster parenting, adoption agency, frameset takeover,
-head-element reroute) taint mid-parse and fall back to walking the
-element-complete text-free tree — same findings either way.  These tests
-pin the parity contract per taint class, the fallback counters the bench
+Every bytes check runs the fused tree dispatch over elements emitted
+pre-order *during* the parse.  Pages whose construction needs a
+tree-reordering mutation (foster parenting, adoption agency, frameset
+takeover, head-element reroute) taint mid-parse and fall back to walking the
+element-complete text-free tree — same findings either way, and the same
+as ``check_parse`` over the full DOM from ``parse_bytes``.  These tests
+pin that parity contract per taint class, the fallback counters the bench
 exports, and the single-pass mitigation sweep.
 """
 from __future__ import annotations
@@ -43,16 +44,16 @@ def _finding_key(finding):
 class TestStreamParity:
     @pytest.mark.parametrize("name,page", TAINT_PAGES + STREAM_PAGES)
     def test_findings_bit_identical(self, name, page):
-        dom = Checker(mode="dom").check_bytes(page)
-        stream = Checker(mode="stream").check_bytes(page)
+        checker = Checker()
+        dom = checker.check_parse(parse_bytes(page))
+        stream = checker.check_bytes(page)
         assert [_finding_key(f) for f in stream.findings] == [
             _finding_key(f) for f in dom.findings
         ]
 
     def test_template_corpus_parity(self):
         rng = random.Random(5)
-        dom_checker = Checker(mode="dom")
-        stream_checker = Checker(mode="stream")
+        checker = Checker()
         for seed in range(8):
             draft = build_page("stream.example", f"/{seed}", random.Random(seed))
             for name in sorted(INJECTORS):
@@ -60,8 +61,8 @@ class TestStreamParity:
                     if rng.random() < 0.3:
                         INJECTORS[name].apply(draft, rng)
             page = draft.render().encode("utf-8")
-            dom = dom_checker.check_bytes(page)
-            stream = stream_checker.check_bytes(page)
+            dom = checker.check_parse(parse_bytes(page))
+            stream = checker.check_bytes(page)
             assert [_finding_key(f) for f in stream.findings] == [
                 _finding_key(f) for f in dom.findings
             ], seed
@@ -70,30 +71,32 @@ class TestStreamParity:
 class TestTaintFallback:
     @pytest.mark.parametrize("name,page", TAINT_PAGES)
     def test_taint_classes_fall_back(self, name, page):
-        checker = Checker(mode="stream")
+        checker = Checker()
         checker.check_bytes(page)
         assert checker.pages_checked == 1
         assert checker.stream_fallbacks == 1
 
     @pytest.mark.parametrize("name,page", STREAM_PAGES)
     def test_stream_safe_pages_stay_dom_free(self, name, page):
-        checker = Checker(mode="stream")
+        checker = Checker()
         checker.check_bytes(page)
         assert checker.pages_checked == 1
         assert checker.stream_fallbacks == 0
 
     def test_counters_accumulate(self):
-        checker = Checker(mode="stream")
+        checker = Checker()
         for _name, page in TAINT_PAGES + STREAM_PAGES:
             checker.check_bytes(page)
         assert checker.pages_checked == len(TAINT_PAGES) + len(STREAM_PAGES)
         assert checker.stream_fallbacks == len(TAINT_PAGES)
 
     def test_dom_mode_never_counts_fallbacks(self):
-        checker = Checker(mode="dom")
+        # checking a full-DOM parse is not a page check: the counters are
+        # for the stream parses check_bytes makes
+        checker = Checker()
         for _name, page in TAINT_PAGES:
-            checker.check_bytes(page)
-        assert checker.pages_checked == len(TAINT_PAGES)
+            checker.check_parse(parse_bytes(page))
+        assert checker.pages_checked == 0
         assert checker.stream_fallbacks == 0
 
     @pytest.mark.parametrize("name,page", TAINT_PAGES)
@@ -114,7 +117,9 @@ class TestTaintFallback:
         assert names == [e.name for e in full.document.iter_elements()]
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
+        # stream is the only bytes parse: the mode argument is gone, so
+        # every mode, known or not, is rejected
+        with pytest.raises(TypeError):
             Checker(mode="chunked")
 
 
@@ -129,7 +134,7 @@ class TestFusedMitigationSweep:
         ],
     )
     def test_collector_matches_standalone_pass(self, page):
-        checker = Checker(mode="stream")
+        checker = Checker()
         result = checker.parse_page_bytes(page)
         report, mitigation = checker.check_parse_with_mitigations(result)
         standalone = measure_mitigations(result)
@@ -140,7 +145,7 @@ class TestFusedMitigationSweep:
 
     def test_reference_engine_equivalent(self):
         page = b"<a href='/x\ny'>n</a><base href=a><base href=b>"
-        fused = Checker(mode="dom")
+        fused = Checker()
         reference = Checker(engine="reference")
         fused_report, fused_mit = fused.check_parse_with_mitigations(
             fused.parse_page_bytes(page)
