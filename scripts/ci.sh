@@ -55,20 +55,11 @@ python -c 'import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))'
     bench --quick --output "$BENCH_SMOKE_OUT"
 python -c "import json, sys; s = json.load(open(sys.argv[1])); \
 assert s['schema'] == 'repro-bench/1' and s['cases'], 'bad bench snapshot'; \
-p = s['pipeline']; \
-assert set(p['stages']) == {'index', 'fetch', 'check', 'store'}, p; \
-assert p['pages'] > 0 and p['best_seconds'] > 0, 'empty pipeline case'; \
-assert 0.0 <= p['dom_materialized_ratio'] < 1.0, \
-    'stream check mode not engaged (every page materialized a DOM)'; \
 pcases = {n: c for n, c in s['cases'].items() if c['kind'] == 'parse'}; \
 assert pcases, 'no parse cases in snapshot'; \
 assert all(c['tokenize_seconds'] > 0.0 and c['tree_build_seconds'] >= 0.0 \
            for c in pcases.values()), \
     'parse-stage attribution fields missing or inconsistent'; \
-d = p['dedup']; \
-assert d['aggregate_parity'], 'dedup ingest diverged from the full pipeline'; \
-assert d['dedup']['carried'] > 0, 'no carries in the incremental bench case'; \
-assert d['dedup']['pages'] == d['dedup']['carried'] + d['dedup']['misses'], d; \
 bcases = {n: c for n, c in s['cases'].items() if c['kind'] == 'tokenize_bytes'}; \
 assert bcases, 'no bytes-domain tokenizer cases in snapshot'; \
 assert all(0.0 <= c['bytes_decoded_ratio'] <= 1.0 for c in bcases.values()), \
@@ -80,27 +71,18 @@ assert bcases['tokenizer_bytes_large']['bytes_decoded_ratio'] < 0.1, \
     "$BENCH_SMOKE_OUT"
 rm -f "$BENCH_SMOKE_OUT"
 
-echo "==> loadgen smoke (open-loop sweep against a spawned server)"
-LOADGEN_SMOKE_OUT="${TMPDIR:-/tmp}/BENCH_ci_loadgen_smoke.json"
-python -c 'import sys; from repro.cli import main; sys.exit(main(sys.argv[1:]))' \
-    loadgen --quick --output "$LOADGEN_SMOKE_OUT"
-python -c "import json, sys; s = json.load(open(sys.argv[1])); \
-assert s['schema'] == 'repro-bench/1', 'bad loadgen snapshot schema'; \
-steps = s['loadgen']['steps']; \
-assert len(steps) == 2 and all(st['completed'] > 0 for st in steps), steps; \
-assert all(st['latency_ms']['p50'] <= st['latency_ms']['p99'] for st in steps), \
-    'quantiles out of order'; \
-assert s['loadgen']['server_metrics']['connections'].get('total', 0) > 0, \
-    'no connection counters scraped'" \
-    "$LOADGEN_SMOKE_OUT"
-rm -f "$LOADGEN_SMOKE_OUT"
-
-echo "==> end-to-end benchmark smoke (unit tests + all four workloads)"
+echo "==> end-to-end benchmark smoke (unit tests + all four workloads + slowdown gate)"
 # --smoke runs study-full, study-parallel, study-incremental and serve-mix
 # once each at reduced size; its correctness oracle checks every
-# workload's result digest and serve bodies, and a mismatch exits nonzero
+# workload's result digest and serve bodies, and a mismatch exits nonzero.
+# The gate then fails any workload whose probe-adjusted cpu_ms_per_item
+# is 2x or more the median of reports/e2e_smoke_record.ndjson
 python -m pytest benchmarks/e2e/tests -q
-python3 benchmarks/e2e/run.py --all --smoke
+E2E_SMOKE_RECORD="${TMPDIR:-/tmp}/e2e_ci_smoke.ndjson"
+rm -f "$E2E_SMOKE_RECORD"
+python3 benchmarks/e2e/run.py --all --smoke --record "$E2E_SMOKE_RECORD"
+python scripts/e2e_smoke_gate.py "$E2E_SMOKE_RECORD"
+rm -f "$E2E_SMOKE_RECORD"
 
 echo "==> traced end-to-end smoke (every entry point layers.py names still exists)"
 # a traced run wraps each name benchmarks/e2e/layers.py lists and fails

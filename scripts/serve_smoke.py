@@ -8,7 +8,8 @@ the full request surface over actual sockets:
 2. ``POST /check``   → 200 with findings, ``x-cache: miss`` then ``hit``
    on the identical body;
 3. ``POST /check`` with non-UTF-8 bytes → 422 typed decode failure;
-4. ``GET /metrics``  → counters consistent with the traffic sent;
+4. ``GET /metrics``  → counters consistent with the traffic sent,
+   including the connection counters;
 5. ``POST /check-batch`` → chunked NDJSON stream whose first line equals
    the single ``POST /check`` payload and whose malformed second line is
    a per-line 400;
@@ -234,6 +235,7 @@ def main() -> int:
         metrics.get("cache", {}).get("hits", 0) >= 1,
         metrics.get("decode_failures", 0) >= 1,
         metrics.get("responses_by_status", {}).get("200", 0) >= 3,
+        metrics.get("connections", {}).get("total", 0) > 0,
     )
     if not all(checks):
         fail(proc, f"/metrics counters inconsistent: {metrics}")

@@ -15,9 +15,6 @@ Usage::
     repro-study serve [--host H] [--port N] [--workers N] [--cache-size N]
                       [--queue-limit N] [--deadline SECONDS] [--procs N]
                       [--shared-cache] [--batch-window N]
-    repro-study loadgen [--steps R,R,...] [--duration S] [--connections N]
-                        [--no-keepalive] [--procs N] [--shared-cache]
-                        [--output FILE] [--quick]
 """
 from __future__ import annotations
 
@@ -372,57 +369,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_loadgen(args: argparse.Namespace) -> int:
-    """Open-loop load sweep against a freshly spawned service.
-
-    Writes a ``repro-bench/1`` snapshot containing the saturation curve
-    (offered vs. achieved RPS, p50/p90/p99 per step) — the before/after
-    artifact for service perf work (EXPERIMENTS.md).
-    """
-    from .service.loadgen import (
-        DEFAULT_STEPS,
-        LoadgenConfig,
-        render_loadgen,
-        run_loadgen,
-    )
-
-    if args.steps:
-        try:
-            steps = tuple(int(part) for part in args.steps.split(","))
-        except ValueError:
-            print(f"loadgen: bad --steps {args.steps!r}", file=sys.stderr)
-            return 2
-    else:
-        steps = DEFAULT_STEPS
-    config = LoadgenConfig(
-        steps=steps,
-        duration=args.duration,
-        seed=args.seed,
-        distinct=args.distinct,
-        connections=args.connections,
-        keepalive=not args.no_keepalive,
-        warmup=not args.no_warmup,
-        label=args.label,
-        server_workers=args.workers,
-        procs=args.procs,
-        shared_cache=args.shared_cache,
-        cache_size=args.cache_size,
-    )
-    if args.quick:
-        config.steps = (40, 80)
-        config.duration = 0.5
-        config.distinct = 4
-        config.connections = 2
-    snapshot = run_loadgen(config)
-    print(render_loadgen(snapshot))
-    if args.output:
-        from .bench import write_snapshot
-
-        write_snapshot(snapshot, Path(args.output))
-        print(f"snapshot written to {args.output}", file=sys.stderr)
-    return 0
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     """Run the parser-substrate benchmarks, optionally writing a snapshot."""
     from .bench import BenchConfig, render_snapshot, run_benchmarks, write_snapshot
@@ -431,9 +377,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
         repeat=1 if args.quick else args.repeat,
         number=1 if args.quick else args.number,
         rules=not args.no_rules,
-        pipeline=not args.no_pipeline,
         label=args.label,
-        quick=args.quick,
     )
     snapshot = run_benchmarks(config)
     print(render_snapshot(snapshot))
@@ -589,64 +533,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     serve_parser.set_defaults(func=cmd_serve)
 
-    loadgen_parser = sub.add_parser(
-        "loadgen",
-        help="open-loop load sweep against the service (saturation curve)",
-    )
-    loadgen_parser.add_argument(
-        "--steps", default="",
-        help="comma-separated target RPS steps (default 50,100,200,400,800)",
-    )
-    loadgen_parser.add_argument(
-        "--duration", type=float, default=3.0,
-        help="seconds of offered load per step (default 3)",
-    )
-    loadgen_parser.add_argument("--seed", type=int, default=42)
-    loadgen_parser.add_argument(
-        "--distinct", type=int, default=16,
-        help="distinct documents in the corpus (default 16)",
-    )
-    loadgen_parser.add_argument(
-        "--connections", type=int, default=8,
-        help="concurrent client connections (default 8)",
-    )
-    loadgen_parser.add_argument(
-        "--no-keepalive", action="store_true",
-        help="dial a fresh connection per request (the PR 4 baseline)",
-    )
-    loadgen_parser.add_argument(
-        "--no-warmup", action="store_true",
-        help="skip the cache warmup pass (measure cold misses)",
-    )
-    loadgen_parser.add_argument(
-        "--workers", type=int, default=1,
-        help="server worker-pool size (default 1)",
-    )
-    loadgen_parser.add_argument(
-        "--procs", type=int, default=1,
-        help="server pre-forked acceptors (default 1)",
-    )
-    loadgen_parser.add_argument(
-        "--shared-cache", action="store_true",
-        help="server uses the cross-process shared cache",
-    )
-    loadgen_parser.add_argument(
-        "--cache-size", type=int, default=1024,
-        help="server cache entries (default 1024)",
-    )
-    loadgen_parser.add_argument(
-        "--output", metavar="FILE", default=None,
-        help="write the repro-bench/1 snapshot here",
-    )
-    loadgen_parser.add_argument(
-        "--label", default="", help="provenance label stored in the snapshot"
-    )
-    loadgen_parser.add_argument(
-        "--quick", action="store_true",
-        help="tiny sweep for CI smoke (2 steps, 0.5s each)",
-    )
-    loadgen_parser.set_defaults(func=cmd_loadgen)
-
     bench_parser = sub.add_parser(
         "bench", help="run parser benchmarks and write a BENCH_*.json snapshot"
     )
@@ -669,10 +555,6 @@ def main(argv: list[str] | None = None) -> int:
     bench_parser.add_argument(
         "--no-rules", action="store_true",
         help="skip the per-rule cost measurements",
-    )
-    bench_parser.add_argument(
-        "--no-pipeline", action="store_true",
-        help="skip the miniature end-to-end pipeline case",
     )
     bench_parser.add_argument(
         "--label", default="",

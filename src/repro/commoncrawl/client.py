@@ -13,9 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
-from ..warc import CDXEntry, CDXIndex, MMapCDXIndex, WARCFileCache, WARCRecord
-
-INDEX_BACKENDS = ("mmap", "linear")
+from ..warc import CDXEntry, MMapCDXIndex, WARCFileCache, WARCRecord
 
 
 @dataclass(frozen=True, slots=True)
@@ -31,33 +29,20 @@ class Collection:
 class CommonCrawlClient:
     """Read-only access to a local archive built by :class:`ArchiveBuilder`.
 
-    ``index_backend`` selects the CDX implementation: ``"mmap"`` (default)
-    binary-searches the memory-mapped file; ``"linear"`` eagerly parses it
-    (the reference implementation, kept for equivalence testing).
-    ``handle_cache`` bounds the LRU of open WARC file handles used by
-    :meth:`fetch`; ``0`` re-opens the file per record.
+    Index queries binary-search each snapshot's memory-mapped CDX file
+    (:class:`MMapCDXIndex`); :meth:`fetch` range-reads records through an
+    LRU of open WARC file handles.
     """
 
-    def __init__(
-        self,
-        root: str | Path,
-        *,
-        index_backend: str = "mmap",
-        handle_cache: int = 8,
-    ) -> None:
+    def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
         if not (self.root / "collinfo.json").exists():
             raise FileNotFoundError(
                 f"{self.root} is not a Common Crawl archive (no collinfo.json)"
             )
-        if index_backend not in INDEX_BACKENDS:
-            raise ValueError(
-                f"unknown index backend {index_backend!r}; expected one of {INDEX_BACKENDS}"
-            )
-        self.index_backend = index_backend
         self._collections: list[Collection] | None = None
-        self._indexes: dict[str, CDXIndex | MMapCDXIndex] = {}
-        self._handles = WARCFileCache(maxsize=handle_cache)
+        self._indexes: dict[str, MMapCDXIndex] = {}
+        self._handles = WARCFileCache()
 
     # -------------------------------------------------------------- catalog
 
@@ -83,14 +68,12 @@ class CommonCrawlClient:
 
     # ---------------------------------------------------------------- index
 
-    def index(self, snapshot_id: str) -> CDXIndex | MMapCDXIndex:
+    def index(self, snapshot_id: str) -> MMapCDXIndex:
         if snapshot_id not in self._indexes:
             collection = self.collection(snapshot_id)
-            path = self.root / collection.cdx_api
-            if self.index_backend == "mmap":
-                self._indexes[snapshot_id] = MMapCDXIndex.open(path)
-            else:
-                self._indexes[snapshot_id] = CDXIndex.load(path)
+            self._indexes[snapshot_id] = MMapCDXIndex.open(
+                self.root / collection.cdx_api
+            )
         return self._indexes[snapshot_id]
 
     def query(
@@ -148,9 +131,7 @@ class CommonCrawlClient:
         """Release cached WARC handles and mapped indexes."""
         self._handles.close()
         for index in self._indexes.values():
-            closer = getattr(index, "close", None)
-            if closer is not None:
-                closer()
+            index.close()
         self._indexes.clear()
 
     def __enter__(self) -> "CommonCrawlClient":

@@ -17,8 +17,8 @@ from ..html import (
     parse_fragment,
     sniff_encoding,
 )
-from .mitigations import MitigationCollector, MitigationReport, measure_mitigations
-from .rules import FusedCheckEngine, Rule, RuleExecutionError, default_rules
+from .mitigations import MitigationCollector, MitigationReport
+from .rules import FusedCheckEngine, Rule, default_rules
 from .violations import Finding
 
 
@@ -53,10 +53,6 @@ class CheckReport:
 
     url: str
     findings: list[Finding] = field(default_factory=list)
-    #: the parse, kept only under ``Checker(keep_parse=True)``.  From
-    #: ``check_bytes`` it is the element-only stream tree (no text or
-    #: comment nodes); ``check_html``/``check_fragment`` keep the full tree
-    parse_result: ParseResult | None = None
     #: (findings length when computed, cached id set)
     _violated_cache: tuple[int, frozenset[str]] | None = field(
         default=None, init=False, repr=False, compare=False
@@ -91,19 +87,12 @@ class Checker:
     ``rules`` defaults to the full Table 1 set; pass a subset to check
     individual violations (the framework is extensible, section 3.1).
 
-    ``engine`` selects how the rules execute:
-
-    * ``"fused"`` (default) — the :class:`FusedCheckEngine` compiles the
-      rule set's declared footprints into one streaming pass over events,
-      errors, tokens and the DOM;
-    * ``"reference"`` — the retained per-rule path: every rule's own
-      ``check`` runs an independent traversal.  This is the semantics
-      oracle the fused engine is equivalence-pinned to (the
-      ``fused_parity`` fuzz oracle and the corpus replay suite assert
-      bit-identical findings).
-
-    Either engine wraps a failing rule in :class:`RuleExecutionError`
-    naming the rule id, so a crash on one page is attributable.
+    The rules run on the :class:`FusedCheckEngine`, which compiles the
+    rule set's declared footprints into one streaming pass over events,
+    errors, tokens and the DOM, and wraps a failing rule in
+    :class:`~repro.core.rules.RuleExecutionError` naming the rule id, so
+    a crash on one page is attributable.  The per-rule reference it is
+    equivalence-pinned to is ``repro.fuzz.oracles.ReferenceChecker``.
 
     Pages given as bytes (``check_bytes`` / ``parse_page_bytes``, which
     every production caller reaches) are parsed DOM-free: the tree builder
@@ -115,22 +104,15 @@ class Checker:
     re-parse, findings bit-identical by construction;
     :attr:`pages_checked` / :attr:`stream_fallbacks` count how often that
     happens.  ``check_html`` and ``check_fragment`` build full trees, and
-    ``check_parse`` checks whichever parse it is given.
+    ``check_parse`` checks whichever parse it is given.  ``check_html``,
+    ``check_fragment`` and ``check_bytes`` free the parse they make; a
+    caller that wants the tree calls ``parse*`` itself, then
+    ``check_parse``.
     """
 
-    def __init__(
-        self,
-        rules: list[Rule] | None = None,
-        *,
-        keep_parse: bool = False,
-        engine: str = "fused",
-    ) -> None:
+    def __init__(self, rules: list[Rule] | None = None) -> None:
         self.rules = rules if rules is not None else default_rules()
-        self.keep_parse = keep_parse
-        if engine not in ("fused", "reference"):
-            raise ValueError(f"unknown checker engine {engine!r}")
-        self.engine = engine
-        self._fused = FusedCheckEngine(self.rules) if engine == "fused" else None
+        self._fused = FusedCheckEngine(self.rules)
         #: pages parsed through ``parse_page_bytes``/``check_bytes``
         self.pages_checked = 0
         #: of those, parses that tainted and fell back to the DOM walk
@@ -152,17 +134,8 @@ class Checker:
         return result
 
     def check_parse(self, result: ParseResult, url: str = "") -> CheckReport:
-        report = CheckReport(url=url, parse_result=result if self.keep_parse else None)
-        fused = self._fused
-        if fused is not None:
-            report.findings.extend(fused.run(result))
-            return report
-        findings = report.findings
-        for rule in self.rules:
-            try:
-                findings.extend(rule.check(result))
-            except Exception as exc:
-                raise RuleExecutionError(rule.id, exc) from exc
+        report = CheckReport(url=url)
+        report.findings.extend(self._fused.run(result))
         return report
 
     def check_parse_with_mitigations(
@@ -170,30 +143,22 @@ class Checker:
     ) -> "tuple[CheckReport, MitigationReport]":
         """Check a parse and measure mitigations in one pass.
 
-        On the fused engine the section 4.5 mitigation detectors ride the
-        engine's start-tag attribute sweep (one token iteration total);
-        on the reference engine they fall back to the standalone
-        :func:`measure_mitigations` pass.  Either way the report is
-        bit-identical to calling the two measurements separately.
+        The section 4.5 mitigation detectors ride the fused engine's
+        start-tag attribute sweep (one token iteration total); the report
+        is bit-identical to calling :meth:`check_parse` and
+        :func:`~repro.core.mitigations.measure_mitigations` separately.
         """
-        fused = self._fused
-        if fused is None:
-            return (
-                self.check_parse(result, url=url),
-                measure_mitigations(result),
-            )
-        report = CheckReport(
-            url=url, parse_result=result if self.keep_parse else None
-        )
+        report = CheckReport(url=url)
         collector = MitigationCollector()
-        report.findings.extend(fused.run(result, attr_observer=collector))
+        report.findings.extend(
+            self._fused.run(result, attr_observer=collector)
+        )
         return report, collector.report
 
     def _check_owned(self, result: ParseResult, url: str) -> CheckReport:
-        """Check a parse this checker made; free it unless it is kept."""
+        """Check a parse this checker made, then free it."""
         report = self.check_parse(result, url=url)
-        if not self.keep_parse:
-            result.release()
+        result.release()
         return report
 
     def check_html(self, text: str, url: str = "") -> CheckReport:

@@ -26,9 +26,17 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..core import Checker, DecodeFailure, autofix
-from ..core.mitigations import measure_mitigations
-from ..html import decode_bytes, parse, parse_bytes, preprocess, serialize
+from ..core import Checker, CheckReport, DecodeFailure, autofix
+from ..core.mitigations import MitigationReport, measure_mitigations
+from ..core.rules import RuleExecutionError
+from ..html import (
+    ParseResult,
+    decode_bytes,
+    parse,
+    parse_bytes,
+    preprocess,
+    serialize,
+)
 from ..html.bytes_tokenizer import BytesTokenizer
 from ..html.dom import Element, Text
 from ..html.dump import dump_tree
@@ -190,6 +198,10 @@ def oracle_bytes_parity(data: bytes) -> None:
 # ------------------------------------------------------------- round-trip
 
 
+#: start tags after which the parser ignores one leading newline
+_LEADING_NEWLINE_DROPPED = frozenset({"pre", "textarea", "listing"})
+
+
 def _serialization_lossy(document) -> bool:
     """True for documents the HTML spec's own serialization section
     declares non-round-trippable.
@@ -201,6 +213,12 @@ def _serialization_lossy(document) -> bool:
     carriage return placed in the DOM by ``&#xD;`` serializes as a raw CR
     (spec escaping covers only ``&``/nbsp/``<``/``>``) which re-parsing's
     preprocessor normalizes to LF.
+
+    An HTML ``pre``, ``textarea`` or ``listing`` whose first child is a
+    Text node starting with LF is lossy too: the parser drops a newline
+    directly after those start tags (spec 13.2.6.4.7, "in body"), and the
+    fragment serialization algorithm (spec 13.3) writes no newline back,
+    so the text's leading LF is dropped again on re-parse.
     """
     for node in document.iter():
         if isinstance(node, Text):
@@ -213,6 +231,14 @@ def _serialization_lossy(document) -> bool:
         if any("\r" in value for value in element.attributes.values()):
             return True
         if element.name == "plaintext":
+            return True
+        if (
+            element.name in _LEADING_NEWLINE_DROPPED
+            and element.is_html()
+            and element.children
+            and isinstance(element.children[0], Text)
+            and element.children[0].data.startswith("\n")
+        ):
             return True
         if element.name in RAW_TEXT_ELEMENTS:
             text = element.text_content().lower()
@@ -616,27 +642,55 @@ def oracle_service_parity(data: bytes) -> None:
 
 # ----------------------------------------------------------- fused engine
 
+
+class ReferenceChecker(Checker):
+    """The per-rule reference engine: every rule runs its own ``check``.
+
+    Each rule traverses the parse independently, in rule-set order, and
+    a failing rule is wrapped in :class:`RuleExecutionError` naming its
+    id, as the fused engine does.  The section 4.5 mitigation report comes
+    from the standalone :func:`measure_mitigations` pass instead of the
+    fused attribute sweep.  ``fused_parity`` and the equivalence tests
+    diff :class:`Checker` against it.
+    """
+
+    def check_parse(self, result: ParseResult, url: str = "") -> CheckReport:
+        report = CheckReport(url=url)
+        findings = report.findings
+        for rule in self.rules:
+            try:
+                findings.extend(rule.check(result))
+            except Exception as exc:
+                raise RuleExecutionError(rule.id, exc) from exc
+        return report
+
+    def check_parse_with_mitigations(
+        self, result: ParseResult, url: str = ""
+    ) -> tuple[CheckReport, MitigationReport]:
+        return self.check_parse(result, url=url), measure_mitigations(result)
+
+
 #: one pair of engines reused across iterations; rules are stateless by
 #: contract (the footprint staticcheck pass proves it), so reuse is safe
 #: and any cross-call state leak would itself surface as a divergence
 _FUSED_CHECKER: Checker | None = None
-_REFERENCE_CHECKER: Checker | None = None
+_REFERENCE_CHECKER: ReferenceChecker | None = None
 
 
-def _engine_pair() -> tuple[Checker, Checker]:
+def _engine_pair() -> tuple[Checker, ReferenceChecker]:
     global _FUSED_CHECKER, _REFERENCE_CHECKER
     if _FUSED_CHECKER is None:
-        _FUSED_CHECKER = Checker(engine="fused")
-        _REFERENCE_CHECKER = Checker(engine="reference")
+        _FUSED_CHECKER = Checker()
+        _REFERENCE_CHECKER = ReferenceChecker()
     return _FUSED_CHECKER, _REFERENCE_CHECKER
 
 
 def oracle_fused_parity(data: bytes) -> None:
     """The fused single-pass engine equals the per-rule reference path.
 
-    ``Checker(engine="fused")`` compiles all rules' declared footprints
-    into one streaming walk (:mod:`repro.core.rules.fused`);
-    ``engine="reference"`` runs each rule's own ``check`` traversal.  The
+    :class:`Checker` compiles all rules' declared footprints into one
+    streaming walk (:mod:`repro.core.rules.fused`); :class:`ReferenceChecker`
+    runs each rule's own ``check`` traversal.  The
     two must produce **bit-identical ordered findings** on every parse —
     not just the same multiset: downstream reports slice by offset and
     evidence, so ordering or field drift is as much a bug as a missing

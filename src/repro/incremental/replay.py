@@ -61,8 +61,8 @@ def execute_study_run(
     """Run one study; return ``(manifest, stats)``.
 
     ``seed`` is the single run seed: the one the corpus/archive was
-    generated under, recorded so replay (and any downstream fuzz- or
-    loadgen-style harness) can regenerate the exact inputs.  ``dedup``
+    generated under, recorded so replay (and any downstream fuzz or
+    benchmark harness) can regenerate the exact inputs.  ``dedup``
     switches on the incremental path; ``index_path`` persists the
     content index across runs (required when ``workers > 1`` so worker
     processes can open it read-only; an in-memory index is used when

@@ -81,8 +81,7 @@ def check_page(
         report = checker.check_parse(result, url=page.url)
         mitigation = None
     features = measure_features(result)
-    if not checker.keep_parse:
-        result.release()
+    result.release()
     return CheckedPage(
         url=page.url, utf8=True, report=report, mitigation=mitigation,
         features=features, declared_encoding=declared,

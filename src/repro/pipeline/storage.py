@@ -74,9 +74,7 @@ CREATE TABLE IF NOT EXISTS page_features (
 """
 
 #: secondary indexes backing the aggregation queries; kept out of
-#: ``_SCHEMA`` so the bench can measure the untuned layout
-#: (``benchmarks/bench_pipeline_throughput.py`` writes the before/after
-#: ``reports/BENCH_pipeline_*.json`` pair)
+#: ``_SCHEMA`` so a store created before they existed gains them on open
 _INDEXES = """
 CREATE INDEX IF NOT EXISTS idx_findings_page ON findings(page_id);
 CREATE INDEX IF NOT EXISTS idx_pages_snapshot ON pages(snapshot_id, domain_id);
@@ -121,21 +119,13 @@ _TUNING_PRAGMAS = (
 
 
 class Storage:
-    """SQLite-backed results store with the study's aggregation queries.
+    """SQLite-backed results store with the study's aggregation queries."""
 
-    ``tuned=False`` opens the store with SQLite's defaults (rollback
-    journal, ``synchronous=FULL``) and without the secondary indexes —
-    only the throughput bench uses it, to keep the before/after pair
-    honest and reproducible.
-    """
-
-    def __init__(self, path: str | Path = ":memory:", *, tuned: bool = True) -> None:
+    def __init__(self, path: str | Path = ":memory:") -> None:
         self.path = str(path)
-        self.tuned = tuned
         self.conn = sqlite3.connect(self.path)
-        if tuned:
-            for pragma in _TUNING_PRAGMAS:
-                self.conn.execute(pragma)
+        for pragma in _TUNING_PRAGMAS:
+            self.conn.execute(pragma)
         self.schema_version_found = ensure_schema(
             self.conn,
             latest=SCHEMA_VERSION,
@@ -143,8 +133,7 @@ class Storage:
             migrations=_MIGRATIONS,
             label="results store",
         )
-        if tuned:
-            self.conn.executescript(_INDEXES)
+        self.conn.executescript(_INDEXES)
 
     # ------------------------------------------------------------ lifecycle
 

@@ -15,9 +15,9 @@ Endpoints: ``POST /check``, ``POST /check-fragment``, ``POST /fix``,
 this repo's own (the warcio-substitution philosophy applied to web
 frameworks).  Production path (DESIGN.md §3.11): HTTP/1.1 keep-alive
 with pipelining-safe framing, ``--procs N`` pre-forked acceptors on one
-listening socket, a cross-process shared result cache, and an open-loop
-load generator (``repro-study loadgen``) that records the saturation
-curve as a ``repro-bench/1`` snapshot.
+listening socket, and a cross-process shared result cache.  Its
+open-loop load benchmark is ``benchmarks/e2e/run.py --workload
+serve-mix``.
 
 The ``service_parity`` fuzz oracle holds this layer to the repo's
 differential standard: every generated document must produce the same

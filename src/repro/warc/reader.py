@@ -135,16 +135,15 @@ class WARCFileCache:
     cluster into a handful of WARC files), so re-opening the file per record
     — what bare :func:`read_record_at` does — pays open/close syscalls for
     every page.  The cache keeps up to ``maxsize`` handles open, evicting
-    the least recently used; ``maxsize=0`` disables caching and degrades to
-    the one-shot path.
+    the least recently used.
 
     Not thread-safe; each pipeline worker owns its own cache (handles can't
     be shared across fork anyway).
     """
 
     def __init__(self, maxsize: int = 8) -> None:
-        if maxsize < 0:
-            raise ValueError(f"maxsize must be >= 0, got {maxsize}")
+        if maxsize < 1:
+            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._handles: OrderedDict[str, BinaryIO] = OrderedDict()
 
@@ -166,8 +165,6 @@ class WARCFileCache:
 
     def read_record_at(self, path: str | Path, offset: int, length: int) -> WARCRecord:
         """Cached variant of :func:`read_record_at` (same contract)."""
-        if self.maxsize == 0:
-            return read_record_at(path, offset, length)
         stream = self._handle(path)
         stream.seek(offset)
         blob = _read_exact(stream, length)

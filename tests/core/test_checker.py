@@ -41,20 +41,6 @@ class TestChecker:
         report = Checker().check_html(DIRTY, url="https://s/p")
         assert report.url == "https://s/p"
 
-    def test_parse_not_kept_by_default(self):
-        assert Checker().check_html(DIRTY).parse_result is None
-
-    @pytest.mark.parametrize("entry", ["check_html", "check_bytes", "check_fragment"])
-    def test_keep_parse(self, entry):
-        # a kept tree is the caller's: the checker must not release it
-        source = DIRTY.encode("utf-8") if entry == "check_bytes" else DIRTY
-        report = getattr(Checker(keep_parse=True), entry)(source)
-        assert report.parse_result is not None
-        elements = list(report.parse_result.document.iter_elements())
-        assert len(elements) > 5
-        for element in elements:
-            assert any(child is element for child in element.parent.children)
-
     def test_finding_type_accessor(self):
         report = Checker().check_html(DIRTY)
         finding = report.findings[0]

@@ -29,12 +29,13 @@ from repro.core.rules import (
 )
 from repro.core.rules.base import Rule
 from repro.fuzz import load_corpus
+from repro.fuzz.oracles import ReferenceChecker
 from repro.html import decode_bytes, parse
 
 CORPUS_DIR = Path(__file__).resolve().parents[1] / "fuzz_corpus"
 
-_FUSED = Checker(engine="fused")
-_REFERENCE = Checker(engine="reference")
+_FUSED = Checker()
+_REFERENCE = ReferenceChecker()
 
 
 def assert_equivalent(test: unittest.TestCase, text: str, source: str) -> None:
@@ -217,14 +218,14 @@ class TestFailureAttribution(unittest.TestCase):
             raise ZeroDivisionError("boom")
 
     def test_fused_engine_names_rule(self):
-        checker = Checker(rules=[self.Exploding()], engine="fused")
+        checker = Checker(rules=[self.Exploding()])
         with self.assertRaises(RuleExecutionError) as caught:
             checker.check_html("<p>x</p>")
         self.assertEqual(caught.exception.rule_id, "FB1")
         self.assertIsInstance(caught.exception.cause, ZeroDivisionError)
 
     def test_reference_engine_names_rule(self):
-        checker = Checker(rules=[self.Exploding()], engine="reference")
+        checker = ReferenceChecker(rules=[self.Exploding()])
         with self.assertRaises(RuleExecutionError) as caught:
             checker.check_html("<p>x</p>")
         self.assertEqual(caught.exception.rule_id, "FB1")
@@ -239,13 +240,14 @@ class TestFailureAttribution(unittest.TestCase):
             def check(self, result):
                 raise KeyError("gone")
 
-        checker = Checker(rules=[Legacy()], engine="fused")
+        checker = Checker(rules=[Legacy()])
         with self.assertRaises(RuleExecutionError) as caught:
             checker.check_html("<p>x</p>")
         self.assertEqual(caught.exception.rule_id, "FB2")
 
     def test_unknown_engine_rejected(self):
-        with self.assertRaises(ValueError):
+        # the per-rule reference is ReferenceChecker, not an engine knob
+        with self.assertRaises(TypeError):
             Checker(engine="turbo")
 
 

@@ -18,6 +18,7 @@ import pytest
 from repro.commoncrawl.templates import INJECTORS, build_page
 from repro.core import Checker
 from repro.core.mitigations import measure_mitigations
+from repro.fuzz.oracles import ReferenceChecker
 from repro.html import StreamTaint, StreamTreeBuilder, parse_bytes
 
 #: (name, page) — one witness per taint class, plus clean stream pages
@@ -146,7 +147,7 @@ class TestFusedMitigationSweep:
     def test_reference_engine_equivalent(self):
         page = b"<a href='/x\ny'>n</a><base href=a><base href=b>"
         fused = Checker()
-        reference = Checker(engine="reference")
+        reference = ReferenceChecker()
         fused_report, fused_mit = fused.check_parse_with_mitigations(
             fused.parse_page_bytes(page)
         )

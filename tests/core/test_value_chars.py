@@ -33,6 +33,7 @@ from repro.core.rules import (
 )
 from repro.core.rules.fused import WILDCARD
 from repro.core.rules.base import Rule, iter_start_tag_attrs
+from repro.fuzz.oracles import ReferenceChecker
 from repro.html import parse_bytes
 from repro.html.tokens import Attribute, StartTag
 
@@ -175,7 +176,7 @@ def test_value_chars_without_token_attrs_rejected():
 def test_skip_keeps_findings_and_mitigations():
     rng = random.Random(23)
     checker = Checker()
-    reference = Checker(engine="reference")
+    reference = ReferenceChecker()
     for seed in range(12):
         draft = build_page("chars.example", f"/{seed}", random.Random(seed))
         for name in sorted(INJECTORS):

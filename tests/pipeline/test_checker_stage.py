@@ -13,6 +13,7 @@ import pytest
 from repro.core import Checker, RuleExecutionError
 from repro.core.rules import Footprint
 from repro.core.rules.base import Rule
+from repro.fuzz.oracles import ReferenceChecker
 from repro.pipeline.checker_stage import CheckedPage, check_page
 from repro.pipeline.crawler import FetchedPage
 
@@ -102,9 +103,11 @@ class _ExplodingRule(Rule):
 class TestRuleFailureAttribution:
     """A rule raising mid-walk must surface WHICH rule failed."""
 
-    @pytest.mark.parametrize("engine", ["fused", "reference"])
-    def test_failure_names_rule(self, engine):
-        checker = Checker(rules=[_ExplodingRule()], engine=engine)
+    @pytest.mark.parametrize(
+        "checker_class", [Checker, ReferenceChecker], ids=["fused", "reference"]
+    )
+    def test_failure_names_rule(self, checker_class):
+        checker = checker_class(rules=[_ExplodingRule()])
         with pytest.raises(RuleExecutionError) as caught:
             check_page(page(b"<p>x</p>"), checker)
         assert caught.value.rule_id == "FB1"

@@ -141,13 +141,6 @@ class TestTuning:
             assert journal == "wal"
             assert sync == 1  # NORMAL
 
-    def test_untuned_keeps_sqlite_defaults(self, tmp_path):
-        with Storage(tmp_path / "plain.sqlite", tuned=False) as storage:
-            journal = storage.conn.execute("PRAGMA journal_mode").fetchone()[0]
-            sync = storage.conn.execute("PRAGMA synchronous").fetchone()[0]
-            assert journal == "delete"
-            assert sync == 2  # FULL
-
     def test_indexes_exist_only_when_tuned(self, tmp_path):
         def index_names(storage):
             rows = storage.conn.execute(
@@ -160,20 +153,3 @@ class TestTuning:
             names = index_names(storage)
             assert "idx_findings_violation_page" in names
             assert "idx_findings_page" in names
-        with Storage(tmp_path / "plain.sqlite", tuned=False) as storage:
-            assert index_names(storage) == set()
-
-    def test_untuned_storage_answers_the_same_queries(self, tmp_path):
-        with Storage(tmp_path / "plain.sqlite", tuned=False) as storage:
-            snap = storage.add_snapshot("S", 2020)
-            domain = storage.add_domain("x.com")
-            storage.set_domain_status(
-                snap, domain, found=True, analyzed=True, pages=1
-            )
-            page = storage.add_page(
-                snap, domain, "http://x.com/", utf8=True, checked=True
-            )
-            storage.add_findings(page, {"FB1": 1, "DM3": 2})
-            storage.commit()
-            assert storage.violation_domain_counts() == {"FB1": 1, "DM3": 1}
-            assert storage.total_pages_checked() == 1

@@ -201,34 +201,6 @@ class TestBenchCommand:
         assert set(snapshot["rules"]) == rule_ids
         assert all(r["best_seconds"] > 0 for r in snapshot["rules"].values())
 
-    def test_pipeline_case_carries_per_stage_fields(self, tmp_path, capsys):
-        """The repro-bench/1 snapshot's miniature end-to-end case must
-        attribute time to every pipeline stage (the CI smoke asserts the
-        same shape)."""
-        out_path = tmp_path / "BENCH_pipeline_smoke.json"
-        assert main(["bench", "--quick", "--no-rules",
-                     "--output", str(out_path)]) == 0
-        assert "pipeline e2e" in capsys.readouterr().out
-        snapshot = json.loads(out_path.read_text())
-        pipeline = snapshot["pipeline"]
-        assert set(pipeline["stages"]) == {"index", "fetch", "check", "store"}
-        assert pipeline["pages"] > 0
-        assert pipeline["domains"] > 0
-        assert pipeline["best_seconds"] > 0
-        assert pipeline["pages_per_second"] == pytest.approx(
-            pipeline["pages"] / pipeline["best_seconds"]
-        )
-        assert sum(pipeline["stages"].values()) == pytest.approx(
-            pipeline["best_seconds"]
-        )
-
-    def test_no_pipeline_flag_omits_the_case(self, tmp_path, capsys):
-        out_path = tmp_path / "BENCH_no_pipeline.json"
-        assert main(["bench", "--quick", "--no-rules", "--no-pipeline",
-                     "--output", str(out_path)]) == 0
-        snapshot = json.loads(out_path.read_text())
-        assert "pipeline" not in snapshot
-
 
 class TestParser:
     def test_requires_subcommand(self):
